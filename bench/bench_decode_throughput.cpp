@@ -1,6 +1,5 @@
 // Decode-throughput bench: the seed's serial materializing decode vs the
-// per-pair fused path vs the cache-blocked batch decode, on a 64-RSU
-// workload at m = 2^22.
+// cache-blocked batch decode, on a 64-RSU workload at m = 2^22.
 //
 //   $ bench_decode_throughput                  # full-size run, JSON out
 //   $ bench_decode_throughput --m-exp 14 --rsus 6 --repeat 1   # smoke
@@ -9,13 +8,12 @@
 // Emits one JSON object so CI and scripts can track the speedup:
 //   - "naive_serial_seconds": per-pair unfold-copy + OR materialization +
 //     three separate popcount sweeps (the decode path before the fused
-//     kernel existed), run serially over all K(K-1)/2 pairs;
-//   - "pairwise_serial_seconds": estimate_od_matrix, per-pair fused
-//     kernel, 1 worker (the committed path before cache blocking);
+//     kernel existed), run serially over all K(K-1)/2 pairs — the
+//     reference every other decode is checked against;
 //   - "blocked_serial_seconds" / "blocked_parallel_seconds": the
-//     cache-blocked batch decode — asserted bit-identical to the
-//     pairwise result cell by cell ("blocked_bit_identical_to_pairwise")
-//     and across worker counts ("parallel_bit_identical_to_serial");
+//     cache-blocked batch decode — asserted bit-identical to the naive
+//     result cell by cell ("blocked_bit_identical_to_naive") and across
+//     worker counts ("parallel_bit_identical_to_serial");
 //   - with --sweep, a "sweep" array covering K ∈ {8, 24, 64} × several
 //     tile sizes, each entry carrying its own identity flag, summarized
 //     in "sweep_all_identical";
@@ -101,27 +99,54 @@ core::EstimateInterval naive_pair(const core::IntervalEstimator& interval,
   return out;
 }
 
+// The naive decode of every pair, in (a, b) order with a < b.
+std::vector<core::EstimateInterval> naive_decode(
+    std::span<const core::RsuState> states,
+    const core::IntervalEstimator& interval,
+    const core::PairEstimator& estimator) {
+  std::vector<core::EstimateInterval> cells;
+  cells.reserve(states.size() * (states.size() - 1) / 2);
+  for (std::size_t a = 0; a < states.size(); ++a) {
+    for (std::size_t b = a + 1; b < states.size(); ++b) {
+      cells.push_back(naive_pair(interval, estimator, states[a], states[b]));
+    }
+  }
+  return cells;
+}
+
+bool cells_equal(const core::EstimateInterval& a,
+                 const core::EstimateInterval& b) {
+  return a.n_c_hat == b.n_c_hat && a.stddev == b.stddev &&
+         a.lower == b.lower && a.upper == b.upper &&
+         a.floor_stddev == b.floor_stddev && a.degraded == b.degraded;
+}
+
 bool cells_identical(const core::OdMatrix& a, const core::OdMatrix& b) {
   for (std::size_t i = 0; i < a.rsu_count(); ++i) {
     for (std::size_t j = i + 1; j < a.rsu_count(); ++j) {
-      const core::EstimateInterval& ca = a.at(i, j);
-      const core::EstimateInterval& cb = b.at(i, j);
-      if (ca.n_c_hat != cb.n_c_hat || ca.stddev != cb.stddev ||
-          ca.lower != cb.lower || ca.upper != cb.upper ||
-          ca.floor_stddev != cb.floor_stddev || ca.degraded != cb.degraded) {
-        return false;
-      }
+      if (!cells_equal(a.at(i, j), b.at(i, j))) return false;
     }
   }
   return true;
 }
 
+// `reference` holds the naive cells of `matrix`'s pairs in (a, b) order.
+bool matches_naive(std::span<const core::EstimateInterval> reference,
+                   const core::OdMatrix& matrix) {
+  std::size_t p = 0;
+  for (std::size_t a = 0; a < matrix.rsu_count(); ++a) {
+    for (std::size_t b = a + 1; b < matrix.rsu_count(); ++b, ++p) {
+      if (!cells_equal(reference[p], matrix.at(a, b))) return false;
+    }
+  }
+  return p == reference.size();
+}
+
 core::OdMatrix decode(std::span<const core::RsuState> states,
-                      core::DecodeMode mode, unsigned workers,
-                      std::size_t tile_words, core::DecodeStats* stats) {
+                      unsigned workers, std::size_t tile_words,
+                      core::DecodeStats* stats) {
   core::DecodeOptions options;
   options.workers = workers;
-  options.mode = mode;
   options.tile_words = tile_words;
   return core::estimate_od_matrix(states, 2, 1.96, options, stats);
 }
@@ -131,7 +156,7 @@ core::OdMatrix decode(std::span<const core::RsuState> states,
 int main(int argc, char** argv) {
   common::ArgParser parser(
       "bench_decode_throughput",
-      "cache-blocked K×K decode vs the per-pair and seed serial paths");
+      "cache-blocked K×K decode vs the seed serial path");
   parser.add_int("rsus", 64, "deployment size K");
   parser.add_int("m-exp", 22, "log2 of every RSU's array size");
   parser.add_int("workers", 0, "parallel decode workers (0 = one per core)");
@@ -139,7 +164,7 @@ int main(int argc, char** argv) {
   parser.add_int("tile-words", 0, "blocked-path tile size in words (0 = auto)");
   parser.add_flag("sweep", false,
                   "also sweep K in {8,24,64} x tile sizes and assert "
-                  "blocked == pairwise for every combination");
+                  "blocked == naive for every combination");
   parser.add_int("prune-rsus", 0,
                  "pruned-section deployment size (0 = same as --rsus)");
   parser.add_int("prune-stride", 16,
@@ -186,48 +211,33 @@ int main(int argc, char** argv) {
   const core::IntervalEstimator interval(2, 1.96);
   const core::PairEstimator estimator(2);
 
-  double naive_best = 1e300, pairwise_best = 1e300, blocked_serial_best = 1e300,
+  double naive_best = 1e300, blocked_serial_best = 1e300,
          blocked_parallel_best = 1e300;
-  core::OdMatrix pairwise(k), blocked_serial(k), blocked_parallel(k);
-  core::DecodeStats pairwise_stats, blocked_serial_stats,
-      blocked_parallel_stats;
-  double naive_total = 0.0;
+  std::vector<core::EstimateInterval> naive;
+  core::OdMatrix blocked_serial(k), blocked_parallel(k);
+  core::DecodeStats blocked_serial_stats, blocked_parallel_stats;
   for (int rep = 0; rep < repeat; ++rep) {
     // Seed path: serial loop, materializing decode per pair.
     const obs::Stopwatch t0;
-    naive_total = 0.0;
-    for (std::size_t a = 0; a < k; ++a) {
-      for (std::size_t b = a + 1; b < k; ++b) {
-        naive_total += naive_pair(interval, estimator, states[a], states[b])
-                           .n_c_hat;
-      }
-    }
+    naive = naive_decode(main_states, interval, estimator);
     naive_best = std::min(naive_best, t0.seconds());
 
-    const obs::Stopwatch t1;
-    pairwise = decode(main_states, core::DecodeMode::kPairwise, 1,
-                      tile_words, &pairwise_stats);
-    pairwise_best = std::min(pairwise_best, t1.seconds());
-
     const obs::Stopwatch t2;
-    blocked_serial = decode(main_states, core::DecodeMode::kBlocked, 1,
-                            tile_words, &blocked_serial_stats);
+    blocked_serial = decode(main_states, 1, tile_words, &blocked_serial_stats);
     blocked_serial_best = std::min(blocked_serial_best, t2.seconds());
 
     const obs::Stopwatch t3;
-    blocked_parallel = decode(main_states, core::DecodeMode::kBlocked, workers,
-                              tile_words, &blocked_parallel_stats);
+    blocked_parallel =
+        decode(main_states, workers, tile_words, &blocked_parallel_stats);
     blocked_parallel_best = std::min(blocked_parallel_best, t3.seconds());
   }
 
-  const bool blocked_identical =
-      cells_identical(pairwise, blocked_serial) &&
-      naive_total == pairwise.total_estimated_common();
+  const bool blocked_identical = matches_naive(naive, blocked_serial);
   const bool parallel_identical =
       cells_identical(blocked_serial, blocked_parallel);
 
   // Optional sweep: every (K, tile_words) combination must reproduce the
-  // pairwise cells bit for bit — the blocking is a traffic optimization,
+  // naive cells bit for bit — the blocking is a traffic optimization,
   // never an approximation.
   std::string sweep_json;
   bool sweep_identical = true;
@@ -238,16 +248,15 @@ int main(int argc, char** argv) {
     bool first = true;
     for (const std::size_t kk : kSweepK) {
       const std::span<const core::RsuState> subset(states.data(), kk);
-      core::DecodeStats ref_stats;
-      const core::OdMatrix reference =
-          decode(subset, core::DecodeMode::kPairwise, 1, 0, &ref_stats);
+      const std::vector<core::EstimateInterval> reference =
+          naive_decode(subset, interval, estimator);
       for (const std::size_t tiles : kSweepTiles) {
         core::DecodeStats stats;
         const obs::Stopwatch ts;
         const core::OdMatrix candidate =
-            decode(subset, core::DecodeMode::kBlocked, workers, tiles, &stats);
+            decode(subset, workers, tiles, &stats);
         const double elapsed = ts.seconds();
-        const bool identical = cells_identical(reference, candidate);
+        const bool identical = matches_naive(reference, candidate);
         sweep_identical = sweep_identical && identical;
         char entry[256];
         std::snprintf(entry, sizeof entry,
@@ -327,8 +336,7 @@ int main(int argc, char** argv) {
   core::DecodeStats ring_blocked_stats, pruned_stats;
   for (int rep = 0; rep < repeat; ++rep) {
     const obs::Stopwatch t4;
-    ring_blocked = decode(ring, core::DecodeMode::kBlocked, workers,
-                          tile_words, &ring_blocked_stats);
+    ring_blocked = decode(ring, workers, tile_words, &ring_blocked_stats);
     ring_blocked_best = std::min(ring_blocked_best, t4.seconds());
 
     const obs::Stopwatch t5;
@@ -402,29 +410,24 @@ int main(int argc, char** argv) {
       " \"tile_words\": %zu,\n"
       " \"dram_passes_saved\": %zu,\n"
       " \"naive_serial_seconds\": %.6f,\n"
-      " \"pairwise_serial_seconds\": %.6f,\n"
       " \"blocked_serial_seconds\": %.6f,\n"
       " \"blocked_parallel_seconds\": %.6f,\n"
-      " \"speedup_pairwise_over_naive\": %.2f,\n"
-      " \"speedup_blocked_over_pairwise\": %.2f,\n"
-      " \"pairwise_pairs_per_second\": %.0f,\n"
+      " \"speedup_blocked_over_naive\": %.2f,\n"
       " \"blocked_pairs_per_second\": %.0f,\n"
       " \"blocked_scan_mib_per_second\": %.0f,\n"
       " \"pool_threads\": %u,\n"
       " \"pool_lifetime_dispatches\": %llu,\n"
-      " \"blocked_bit_identical_to_pairwise\": %s,\n"
+      " \"blocked_bit_identical_to_naive\": %s,\n"
       " \"parallel_bit_identical_to_serial\": %s%s,\n"
       " \"health\": {\"rsus_assessed\": %zu, \"rsus_saturated\": %zu, "
       "\"max_fill_fraction\": %.4f, \"min_load_factor\": %.2f, "
       "\"pairs_assessed\": %zu, \"pairs_degraded\": %zu, "
       "\"predicted_rel_err_max\": %.4f, \"predicted_rel_err_mean\": %.4f},\n"
       " \"metrics\": %s}\n",
-      k, m, pairwise_stats.pairs_decoded, blocked_parallel_stats.workers,
+      k, m, blocked_serial_stats.pairs_decoded, blocked_parallel_stats.workers,
       blocked_parallel_stats.kernel_isa, blocked_serial_stats.tile_words,
-      blocked_serial_stats.dram_passes_saved, naive_best, pairwise_best,
-      blocked_serial_best, blocked_parallel_best, naive_best / pairwise_best,
-      pairwise_best / blocked_serial_best,
-      pairwise_stats.pairs_per_second(),
+      blocked_serial_stats.dram_passes_saved, naive_best, blocked_serial_best,
+      blocked_parallel_best, naive_best / blocked_serial_best,
       blocked_serial_best > 0.0
           ? static_cast<double>(blocked_serial_stats.pairs_decoded) /
                 blocked_serial_best

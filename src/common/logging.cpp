@@ -41,7 +41,7 @@ LogLevel parse_log_level(const std::string& name) {
   if (name == "warn") return LogLevel::kWarn;
   if (name == "error") return LogLevel::kError;
   if (name == "off") return LogLevel::kOff;
-  // Same warn-and-fall-back convention as VLM_KERNELS / VLM_DECODE: a
+  // Same warn-and-fall-back convention as VLM_KERNELS: a
   // misspelled VLM_LOG should degrade loudly, once per distinct value,
   // instead of silently running at the wrong verbosity.
   static std::mutex mutex;

@@ -52,8 +52,8 @@ class PairEstimator {
   // Eq. 5 on already-measured zero counts. `estimate` above is exactly
   // joint_zero_counts + this; the cache-blocked batch decode measures the
   // counts for every pair first and then maps them through here, which is
-  // what makes the two decode paths bit-identical — the floating-point
-  // math is this one function either way.
+  // what makes it bit-identical to `estimate` — the floating-point math is
+  // this one function either way.
   PairEstimate from_counts(const common::JointZeroCounts& counts) const;
 
   // The denominator constant of Eq. 5 for a given larger-array size.

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/bit_array.h"
-#include "common/env_override.h"
 #include "common/kernels/kernels.h"
 #include "common/parallel.h"
 #include "common/require.h"
@@ -21,7 +20,7 @@ namespace {
 // over exactly these atoms: every field is incremented here and added to
 // the registry at the same site, so a registry delta across one decode
 // equals the struct (a test pins this). The handles register together on
-// the first decode, keeping the exported key set independent of path,
+// the first decode, keeping the exported key set independent of pruning,
 // worker count, and tile size.
 struct DecodeMetrics {
   obs::Counter& runs;
@@ -37,7 +36,7 @@ struct DecodeMetrics {
   obs::Info& path;
   obs::Histogram& total;       // whole estimate_od_matrix call
   obs::Histogram& prune;       // pruned path: the sampled-union skip stage
-  obs::Histogram& tile_sweep;  // blocked path: the batched zero-count sweep
+  obs::Histogram& tile_sweep;  // the batched zero-count sweep
   obs::Histogram& estimate;    // Eq. 5 / interval math over the pair list
 };
 
@@ -61,34 +60,6 @@ DecodeMetrics& decode_metrics() {
                              obs::phase("decode/estimate")};
   }();
   return *metrics;
-}
-
-const char* mode_name(DecodeMode mode) {
-  switch (mode) {
-    case DecodeMode::kPairwise:
-      return "pairwise";
-    case DecodeMode::kBlocked:
-      return "blocked";
-    case DecodeMode::kPruned:
-      return "pruned";
-    case DecodeMode::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-// VLM_DECODE=pairwise|blocked|pruned|auto overrides the caller's mode,
-// exactly like VLM_KERNELS overrides ISA selection: parsed once,
-// warn-and-keep on an unrecognized value so a stale export degrades
-// loudly instead of crashing a fleet.
-DecodeMode apply_env_override(DecodeMode mode) {
-  static constexpr common::EnvEnumChoice kChoices[] = {
-      {"pairwise", static_cast<int>(DecodeMode::kPairwise)},
-      {"blocked", static_cast<int>(DecodeMode::kBlocked)},
-      {"pruned", static_cast<int>(DecodeMode::kPruned)},
-      {"auto", static_cast<int>(DecodeMode::kAuto)}};
-  static const int parsed = common::parse_env_enum("VLM_DECODE", kChoices, -1);
-  return parsed < 0 ? mode : static_cast<DecodeMode>(parsed);
 }
 
 // Sampled-union skip rule for one pair. Returns true when the pair can
@@ -274,13 +245,8 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   const unsigned used =
       options.workers == 0 ? common::default_worker_count() : options.workers;
 
-  DecodeMode mode = apply_env_override(options.mode);
-  if (mode == DecodeMode::kAuto) {
-    // One pair has nothing to block over; three or more arrays is where
-    // tile reuse starts paying. Pruning stays opt-in — it changes
-    // skipped pairs' cells, so kAuto never routes there.
-    mode = k >= 3 ? DecodeMode::kBlocked : DecodeMode::kPairwise;
-  }
+  // Pruning stays opt-in: it changes skipped pairs' cells.
+  const bool pruned = options.mode == DecodeMode::kPruned;
 
   // Flatten the upper triangle into an index list so the pair loop can be
   // sliced across workers. Pair p covers exactly one cell, and every
@@ -302,7 +268,7 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   double prune_seconds = 0.0;
   std::size_t prune_words = 0;
   std::size_t pairs_pruned = 0;
-  if (mode == DecodeMode::kPruned) {
+  if (pruned) {
     obs::Span prune_span(metrics.prune);
     const PairEstimator point_estimator(s);
     const common::kernels::KernelTable& table = common::kernels::active();
@@ -325,57 +291,42 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
     prune_seconds = prune_span.finish();
   }
 
-  OdMatrix matrix = mode == DecodeMode::kPruned
-                        ? OdMatrix::for_survivors(k, pairs)
-                        : OdMatrix(k);
+  OdMatrix matrix = pruned ? OdMatrix::for_survivors(k, pairs) : OdMatrix(k);
 
   std::vector<std::size_t> words_per_pair(pairs.size(), 0);
   std::vector<std::uint8_t> pair_saturated(pairs.size(), 0);
+  // Measure the pair list's zero counts with the cache-blocked batch
+  // sweep, then map them through the Eq. 5 / interval math of
+  // IntervalEstimator::estimate. Both stages are deterministic, so so is
+  // the composition — and because the batch sweep's integer partials are
+  // exact for any pair subset, a survivor's counts (and therefore its
+  // estimate) are bit-identical to the unpruned decode.
+  std::vector<const common::BitArray*> arrays;
+  arrays.reserve(k);
+  for (const RsuState& state : states) arrays.push_back(&state.bits());
+  common::BatchDecodeOptions batch_options;
+  batch_options.tile_words = options.tile_words;
+  batch_options.workers = used;
   common::BatchDecodeStats batch_stats;
+  std::vector<common::JointZeroCounts> counts;
   double sweep_seconds = 0.0;
-  double estimate_seconds = 0.0;
-  if (mode == DecodeMode::kBlocked || mode == DecodeMode::kPruned) {
-    // Measure the pair list's zero counts with the cache-blocked batch
-    // sweep, then map them through the identical Eq. 5 / interval math
-    // the pairwise path uses. Both stages are deterministic, so so is
-    // the composition — and because the batch sweep's integer partials
-    // are exact for any pair subset, a survivor's counts (and therefore
-    // its estimate) are bit-identical to the unpruned blocked decode.
-    std::vector<const common::BitArray*> arrays;
-    arrays.reserve(k);
-    for (const RsuState& state : states) arrays.push_back(&state.bits());
-    common::BatchDecodeOptions batch_options;
-    batch_options.tile_words = options.tile_words;
-    batch_options.workers = used;
-    std::vector<common::JointZeroCounts> counts;
-    {
-      obs::Span sweep_span(metrics.tile_sweep);
-      counts = common::joint_zero_counts_batch(arrays, pairs, batch_options,
-                                               &batch_stats);
-      sweep_seconds = sweep_span.finish();
-    }
-    obs::Span estimate_span(metrics.estimate);
-    common::parallel_for(pairs.size(), used, [&](std::size_t p) {
-      const auto [a, b] = pairs[p];
-      PairEstimate point;
-      matrix.cell(a, b) = estimator.from_counts(
-          counts[p], static_cast<double>(states[a].counter()),
-          static_cast<double>(states[b].counter()), &point);
-      words_per_pair[p] = point.words_scanned;
-      pair_saturated[p] = point.saturated ? 1 : 0;
-    });
-    estimate_seconds = estimate_span.finish();
-  } else {
-    obs::Span estimate_span(metrics.estimate);
-    common::parallel_for(pairs.size(), used, [&](std::size_t p) {
-      const auto [a, b] = pairs[p];
-      PairEstimate point;
-      matrix.cell(a, b) = estimator.estimate(states[a], states[b], &point);
-      words_per_pair[p] = point.words_scanned;
-      pair_saturated[p] = point.saturated ? 1 : 0;
-    });
-    estimate_seconds = estimate_span.finish();
+  {
+    obs::Span sweep_span(metrics.tile_sweep);
+    counts = common::joint_zero_counts_batch(arrays, pairs, batch_options,
+                                             &batch_stats);
+    sweep_seconds = sweep_span.finish();
   }
+  obs::Span estimate_span(metrics.estimate);
+  common::parallel_for(pairs.size(), used, [&](std::size_t p) {
+    const auto [a, b] = pairs[p];
+    PairEstimate point;
+    matrix.cell(a, b) = estimator.from_counts(
+        counts[p], static_cast<double>(states[a].counter()),
+        static_cast<double>(states[b].counter()), &point);
+    words_per_pair[p] = point.words_scanned;
+    pair_saturated[p] = point.saturated ? 1 : 0;
+  });
+  const double estimate_seconds = estimate_span.finish();
 
   // Registry and struct are fed from the same values: DecodeStats is the
   // per-run view of what this call just added to the global counters.
@@ -389,14 +340,15 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   metrics.pairs.add(pairs.size());
   metrics.words_scanned.add(words_scanned);
   metrics.pairs_pruned.add(pairs_pruned);
-  metrics.pairs_survived.add(mode == DecodeMode::kPruned ? pairs.size() : 0);
+  metrics.pairs_survived.add(pruned ? pairs.size() : 0);
   metrics.pairs_saturated.add(pairs_saturated);
   metrics.workers.set(static_cast<double>(used));
   metrics.tile_words.set(static_cast<double>(batch_stats.tile_words));
   metrics.dram_passes_saved.set(
       static_cast<double>(batch_stats.dram_passes_saved));
   metrics.kernel_isa.set(common::kernels::active_name());
-  metrics.path.set(mode_name(mode));
+  const char* path = pruned ? "pruned" : "blocked";
+  metrics.path.set(path);
   const double wall_seconds = total_span.finish();
 
   if (stats != nullptr) {
@@ -405,13 +357,12 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
     stats->words_scanned = words_scanned;
     stats->workers = used;
     stats->kernel_isa = common::kernels::active_name();
-    stats->path = mode_name(mode);
+    stats->path = path;
     stats->tile_words = batch_stats.tile_words;
     stats->dram_passes_saved = batch_stats.dram_passes_saved;
     stats->pairs_pruned = pairs_pruned;
-    stats->pairs_survived = mode == DecodeMode::kPruned ? pairs.size() : 0;
-    stats->sample_stride =
-        mode == DecodeMode::kPruned ? options.prune.sample_stride : 0;
+    stats->pairs_survived = pruned ? pairs.size() : 0;
+    stats->sample_stride = pruned ? options.prune.sample_stride : 0;
     stats->prune_seconds = prune_seconds;
     stats->sweep_seconds = sweep_seconds;
     stats->estimate_seconds = estimate_seconds;

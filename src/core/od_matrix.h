@@ -1,18 +1,17 @@
 // Full origin-destination matrix estimation over a deployment of K RSUs.
 //
 // The paper estimates one pair at a time; a transportation study wants
-// the whole K×K point-to-point matrix. Three decode paths produce it:
+// the whole K×K point-to-point matrix. Two decode paths produce it:
 //
-//   - pairwise: the fused zero-count kernel per pair — O(K² m_max / 64)
-//     words of DRAM traffic, every array re-read K−1 times.
-//   - blocked (default for K >= 3): the GEMM-style cache-blocked batch
-//     decode — the word range is tiled, and each cache-hot tile is
-//     combined with every partner before moving on, cutting DRAM traffic
-//     to O(K m_max / 64) per tile sweep. The arithmetic is the same
-//     integer popcounts landing in deterministic accumulator slots, so
-//     the result is bit-identical to the pairwise path for every worker
-//     count and tile size (tests and a differential fuzz suite assert
-//     this).
+//   - blocked (the default): the GEMM-style cache-blocked batch decode —
+//     the word range is tiled, and each cache-hot tile is combined with
+//     every partner before moving on, cutting DRAM traffic from
+//     O(K² m_max / 64) words (every array re-read K−1 times by a per-pair
+//     decode) to O(K m_max / 64) per tile sweep. The arithmetic is the
+//     same integer popcounts landing in deterministic accumulator slots,
+//     so every cell is bit-identical to the per-pair
+//     IntervalEstimator::estimate for every worker count and tile size
+//     (tests and a differential fuzz suite assert this).
 //   - pruned (opt-in): a cheap strided-sample union estimate per pair
 //     first; pairs whose upper-bounded overlap stays at or below
 //     PruneOptions::min_volume are skipped, and the exact blocked sweep
@@ -24,7 +23,7 @@
 //
 // Each pair writes only its own cell, and prune decisions are computed
 // independently per pair, so the parallel result is bit-identical to the
-// serial one for any worker count on every path (tests assert this on a
+// serial one for any worker count on both paths (tests assert this on a
 // 24-RSU workload).
 #pragma once
 
@@ -39,21 +38,16 @@
 
 namespace vlm::core {
 
-// How estimate_od_matrix walks the pair set. The VLM_DECODE environment
-// variable (pairwise|blocked|pruned|auto), when set, overrides whatever
-// the caller passes — mirroring VLM_KERNELS, so CI can pin one path
-// process-wide without threading options through every layer.
+// How estimate_od_matrix walks the pair set.
 enum class DecodeMode {
-  kPairwise,  // per-pair fused kernel (the pre-blocking behavior)
-  kBlocked,   // cache-blocked batch decode
-  kPruned,    // sampled-union prune, then the blocked sweep on survivors
-  kAuto,      // blocked when K >= 3, pairwise for a single pair
+  kAuto,    // the exact cache-blocked sweep over every pair
+  kPruned,  // sampled-union prune, then the blocked sweep on survivors
 };
 
 // Knobs for the prune stage of DecodeMode::kPruned. The defaults are
 // maximally conservative: min_volume = 0 only ever skips pairs whose
-// overlap upper bound is non-positive, so a pinned VLM_DECODE=pruned run
-// stays estimate-compatible with blocked on every workload; real
+// overlap upper bound is non-positive, so a default-option pruned decode
+// stays estimate-compatible with the exact sweep on every workload; real
 // deployments raise min_volume to the smallest flow they care about.
 struct PruneOptions {
   // Every sample_stride-th 8-word block of each pair's larger array is
@@ -85,12 +79,12 @@ struct DecodeStats {
   // ISA the kernel dispatch selected for the sweeps ("scalar", "avx2",
   // "avx512") — a static string, never freed.
   const char* kernel_isa = "scalar";
-  // Decode path actually taken ("pairwise", "blocked", or "pruned")
-  // after resolving kAuto and the VLM_DECODE override — a static string,
-  // never freed.
-  const char* path = "pairwise";
-  // Blocked path only (0 on pairwise): anchor-tile size in 64-bit words
-  // and the full-array DRAM loads the tiling avoided versus per-pair.
+  // Decode path taken ("blocked", or "pruned" under DecodeMode::kPruned)
+  // — a static string, never freed.
+  const char* path = "blocked";
+  // Anchor-tile size in 64-bit words (0 when every pair took the
+  // sub-word fallback) and the full-array DRAM loads the tiling avoided
+  // versus a per-pair decode.
   std::size_t tile_words = 0;
   std::size_t dram_passes_saved = 0;
   // Pruned path only (0 elsewhere): pairs the sampled-union stage
@@ -101,7 +95,7 @@ struct DecodeStats {
   std::size_t pairs_survived = 0;
   std::size_t sample_stride = 0;
   double prune_seconds = 0.0;
-  double sweep_seconds = 0.0;     // blocked + pruned: the exact tile sweep
+  double sweep_seconds = 0.0;     // the exact tile sweep
   double estimate_seconds = 0.0;  // Eq. 5 / interval math
   // Matrix storage the pruned path chose ("dense" or "sparse") — a
   // static string, never freed. Always "dense" for unpruned decodes.
@@ -132,8 +126,8 @@ struct DecodeStats {
 struct DecodeOptions {
   unsigned workers = 1;  // 1 = serial, 0 = one per hardware core
   DecodeMode mode = DecodeMode::kAuto;
-  std::size_t tile_words = 0;  // blocked path tile size; 0 = auto (L2 budget)
-  PruneOptions prune;          // kPruned only; ignored on the other paths
+  std::size_t tile_words = 0;  // sweep tile size; 0 = auto (L2 budget)
+  PruneOptions prune;          // kPruned only; ignored by kAuto
 };
 
 class OdMatrix {

@@ -212,7 +212,7 @@ ExportConfig resolve_export_config(std::string_view cli_path,
   }
   if (!format_name.empty() &&
       !parse_export_format(format_name, config.format)) {
-    // Same warn-once-per-value convention as VLM_KERNELS / VLM_DECODE: a
+    // Same warn-once-per-value convention as VLM_KERNELS: a
     // stale export degrades loudly to the default instead of crashing.
     static std::mutex mutex;
     static std::set<std::string>* warned = new std::set<std::string>();

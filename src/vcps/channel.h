@@ -22,7 +22,7 @@ struct ChannelConfig {
   double reply_duplicate = 0.0; // probability a delivered reply arrives twice
 };
 
-// Worker-local failure tallies for the sharded ingest path: each worker
+// Worker-local failure tallies for the parallel ingest: each worker
 // counts the outcomes it sampled, and the shards are summed into the
 // channel's counters after the join (addition commutes, so the totals
 // are independent of the vehicle-to-worker assignment).
@@ -42,11 +42,12 @@ class DsrcChannel {
   bool query_delivered();
   int deliveries_for_reply();
 
-  // Order-independent outcomes for the sharded ingest path: the draw is a
-  // pure hash of (channel seed, period, vehicle number, RSU id), so every
-  // worker count — and every execution order — samples the identical
-  // outcome for a given exchange. Counts into the caller's tally instead
-  // of the shared counters; absorb() merges tallies after the join.
+  // Order-independent outcomes, one exchange at a time — the reference
+  // draws_for_batch below must reproduce: the draw is a pure hash of
+  // (channel seed, period, vehicle number, RSU id), so every worker
+  // count — and every execution order — samples the identical outcome
+  // for a given exchange. Counts into the caller's tally instead of the
+  // shared counters; absorb() merges tallies after the join.
   bool query_delivered_for(std::uint64_t period, std::uint64_t vehicle_number,
                            core::RsuId rsu, ChannelTally& tally) const;
   int deliveries_for_reply_for(std::uint64_t period,

@@ -1,6 +1,6 @@
-// Columnar (SoA) batch ingest engine behind IngestMode::kBatch.
+// Columnar (SoA) ingest engine behind VcpsSimulation::drive_vehicles.
 //
-// The per-vehicle object loop spends its time on dispatch, not bit work:
+// A per-vehicle object loop spends its time on dispatch, not bit work:
 // one Vehicle construction, one certificate check, one scalar hash pair,
 // and one channel draw per exchange. This module restructures a worker's
 // vehicle slice into four flat stages so each cost is paid per batch
@@ -24,8 +24,9 @@
 // serial path evaluates — the encoder's (masked_key, RSU, salt) domains
 // and the channel's (seed, period, vehicle number, RSU) domains — so the
 // resulting bits, counters, and channel tallies are bit-identical to the
-// per-vehicle loop for every worker count and every channel config. The
-// ParallelIngest/BatchIngest suites are the acceptance gate.
+// per-vehicle protocol loop for every worker count and every channel
+// config. The BatchIngest suite checks this against a per-vehicle oracle
+// built from the public protocol objects.
 #pragma once
 
 #include <cstddef>

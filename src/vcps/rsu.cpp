@@ -20,16 +20,11 @@ bool Rsu::handle_reply(const Reply& reply) {
   return true;
 }
 
-void Rsu::absorb_shard(const core::RsuState& shard,
-                       std::uint64_t invalid_replies) {
+void Rsu::absorb_shard(const core::RsuState& shard) {
   static obs::Counter& shards_absorbed =
       obs::MetricsRegistry::global().counter("ingest/shards_absorbed");
-  static obs::Counter& invalid_counter =
-      obs::MetricsRegistry::global().counter("ingest/invalid_replies");
   state_.merge(shard);
-  invalid_replies_ += invalid_replies;
   shards_absorbed.inc();
-  if (invalid_replies > 0) invalid_counter.add(invalid_replies);
 }
 
 RsuReport Rsu::make_report(std::uint64_t period) const {

@@ -29,11 +29,9 @@ class Rsu {
   bool handle_reply(const Reply& reply);
 
   // Merges a worker shard collected for THIS RSU during the current
-  // period (counters add, bit arrays OR — order-independent), plus the
-  // malformed-reply count the worker tallied. The shard's array size
-  // must match the RSU's current size.
-  void absorb_shard(const core::RsuState& shard,
-                    std::uint64_t invalid_replies);
+  // period (counters add, bit arrays OR — order-independent). The
+  // shard's array size must match the RSU's current size.
+  void absorb_shard(const core::RsuState& shard);
 
   RsuReport make_report(std::uint64_t period) const;
 

@@ -51,12 +51,12 @@ using ItineraryProvider =
 // positions[offsets[i]] .. positions[offsets[i + 1]]. Must produce
 // exactly the per-vehicle lists an ItineraryProvider would, vehicle by
 // vehicle, and be a pure function of the range. One call per worker
-// slice instead of one per vehicle: this is the form the ingest engines
-// consume, and the per-vehicle form is adapted into it.
+// slice instead of one per vehicle: this is the form the ingest engine
+// consumes, and the per-vehicle form is adapted into it.
 //
 // `counts` must be filled with the block's per-RSU visit histogram —
 // size rsu_count, counts[r] = number of positions equal to r — which the
-// batch engine uses to size its SoA buckets without re-scanning the CSR.
+// engine uses to size its SoA buckets without re-scanning the CSR.
 // The engine cross-checks the histogram against the positions it
 // actually sees, so a provider bug fails loudly instead of corrupting
 // buckets.
@@ -69,46 +69,6 @@ using BulkItineraryProvider = std::function<void(
     common::UninitVector<std::uint32_t>& positions,
     std::vector<std::uint64_t>& offsets, std::vector<std::uint64_t>& counts)>;
 
-// How drive_vehicles turns a vehicle slice into shard updates. Both
-// engines produce bit-identical reports AND channel tallies for every
-// worker count; the choice is purely a performance decision.
-// VLM_INGEST=scalar|batch|auto steers how kAuto resolves at runtime;
-// explicitly requested engines always win, so the A/B bit-identity
-// suites keep comparing both engines under any environment.
-enum class IngestMode {
-  // Per-vehicle object loop: one Vehicle, one query, one reply at a
-  // time. The reference engine the batch path is asserted against.
-  kScalar,
-  // Staged columnar pipeline (ingest_batch.h): materialize SoA exchange
-  // tuples, batch-hash bit indices through the encode_batch kernel,
-  // batch the channel draws, scatter through set_bulk.
-  kBatch,
-  // Currently resolves to kBatch.
-  kAuto,
-};
-
-// How the batch engine schedules its four stages within a worker slice.
-// Both schedules run the same stages over the same vehicles in the same
-// scatter order, so reports and tallies are bit-identical — the choice
-// is purely a locality/throughput decision.
-// VLM_INGEST_PIPELINE=off|overlap|auto steers how kAuto resolves at
-// runtime (explicit requests win, as with VLM_INGEST). Ignored by the
-// scalar engine.
-enum class PipelineMode {
-  // One pass: materialize the whole slice, then hash, channel, and
-  // scatter the whole slice. Simple, but the slice's exchange tuples
-  // cycle through the cache hierarchy once per stage.
-  kOff,
-  // Software-pipelined: the slice is split into cache-sized sub-slices
-  // processed through two ExchangeColumns buffers — materialize of
-  // sub-slice k + 1 is issued back-to-back with hash/channel/scatter of
-  // sub-slice k, so the downstream stages consume tuples that are still
-  // resident instead of refetching a whole slice from DRAM.
-  kOverlap,
-  // Currently resolves to kOverlap.
-  kAuto,
-};
-
 // Throughput counters for one drive_vehicles() call.
 struct IngestStats {
   std::uint64_t vehicles = 0;
@@ -118,22 +78,14 @@ struct IngestStats {
   // ISA the kernel dispatch selected for the encode/merge/recount sweeps
   // ("scalar", "avx2", "avx512") — a static string, never freed.
   const char* kernel_isa = "scalar";
-  // Engine that ran after VLM_INGEST/auto resolution ("scalar" or
-  // "batch") — a static string, never freed.
-  const char* path = "scalar";
-  // Stage schedule that ran after VLM_INGEST_PIPELINE/auto resolution
-  // ("off" or "overlap"; always "off" on the scalar path) — a static
-  // string, never freed.
-  const char* pipeline = "off";
-  // Batch path only: per-stage seconds summed across workers (CPU time,
-  // not wall time; the stages of different workers overlap). Zero on the
-  // scalar path. Under PipelineMode::kOverlap each worker's stage time
-  // is itself summed over its sub-slices.
+  // Per-stage seconds summed across workers (CPU time, not wall time; the
+  // stages of different workers overlap). Each worker's stage time is
+  // itself summed over its sub-slices.
   double materialize_seconds = 0.0;
   double hash_seconds = 0.0;
   double channel_seconds = 0.0;
   double scatter_seconds = 0.0;
-  // Batch path only: seconds inside the per-worker sub-slice loop
+  // Seconds inside the per-worker sub-slice loop
   // (prologue materialize included), summed across workers. The
   // denominator of the bench's overlap-efficiency ratio — the sum of the
   // four stage times divided by this approaches 1.0 when the schedule
@@ -188,15 +140,13 @@ class VcpsSimulation {
   // stream drive_vehicle consumes — which means a lossy drive_vehicles
   // run matches other drive_vehicles runs exactly, and matches a
   // drive_vehicle loop exactly when the channel is loss-free (no draws
-  // happen at all). `mode` picks the per-slice engine (see IngestMode)
-  // and `pipeline` the batch engine's stage schedule (see PipelineMode);
-  // the VLM_INGEST and VLM_INGEST_PIPELINE environment variables steer
-  // how the kAuto defaults resolve (explicit requests win).
+  // happen at all). Each slice runs through the columnar engine of
+  // ingest_batch.h on the overlap schedule: cache-sized sub-slices
+  // double-buffered so the materialize of sub-slice k + 1 is issued
+  // back-to-back with hash/channel/scatter of sub-slice k.
   IngestStats drive_vehicles(std::uint64_t count,
                              const ItineraryProvider& itinerary,
-                             unsigned workers = 0,
-                             IngestMode mode = IngestMode::kAuto,
-                             PipelineMode pipeline = PipelineMode::kAuto);
+                             unsigned workers = 0);
 
   // Same, fed by the bulk CSR form directly — skips the per-vehicle
   // function call and copy of the adapted path, which measurably raises
@@ -204,9 +154,7 @@ class VcpsSimulation {
   // that can emit whole slices natively.
   IngestStats drive_vehicles(std::uint64_t count,
                              const BulkItineraryProvider& itineraries,
-                             unsigned workers = 0,
-                             IngestMode mode = IngestMode::kAuto,
-                             PipelineMode pipeline = PipelineMode::kAuto);
+                             unsigned workers = 0);
 
   // Ends the period: every RSU reports to the central server, then the
   // fleet's states get a period-close health assessment (saturation /

@@ -4,11 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <span>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "core/encoder.h"
@@ -159,45 +157,42 @@ TEST(OdMatrix, ParallelDecodeBitIdenticalToSerialOnSiouxFalls) {
 
 // Exhaustive indexing oracle: for every K <= 8, at(a, b) must return
 // exactly the estimate of pair (a, b) — computed independently per pair
-// with the same estimator — for every (a, b) order. Catches any
-// triangle-offset arithmetic slip at every matrix size.
+// by IntervalEstimator::estimate — for every (a, b) order. Catches any
+// triangle-offset arithmetic slip at every matrix size. The sub-word size
+// (m = 32 bits) sends every pair through the sweep's per-pair fallback,
+// which is also the route of a two-RSU decode.
 TEST(OdMatrix, AtMatchesPerPairOracleForEveryKUpToEight) {
   Encoder enc(EncoderConfig{});
   const IntervalEstimator oracle(2, 1.96);
-  for (std::size_t k = 2; k <= 8; ++k) {
-    const auto states = deterministic_fleet(k, 4'000, enc, 1 << 13);
-    const OdMatrix matrix = estimate_od_matrix(states, 2);
-    for (std::size_t a = 0; a < k; ++a) {
-      for (std::size_t b = 0; b < k; ++b) {
-        if (a == b) continue;
-        const EstimateInterval expected =
-            oracle.estimate(states[std::min(a, b)], states[std::max(a, b)]);
-        const EstimateInterval& got = matrix.at(a, b);
-        EXPECT_EQ(got.n_c_hat, expected.n_c_hat)
-            << "k=" << k << " at(" << a << "," << b << ")";
-        EXPECT_EQ(got.stddev, expected.stddev);
-        EXPECT_EQ(got.lower, expected.lower);
-        EXPECT_EQ(got.upper, expected.upper);
-        EXPECT_EQ(got.floor_stddev, expected.floor_stddev);
-        EXPECT_EQ(got.degraded, expected.degraded);
+  for (const std::size_t m : {std::size_t{1} << 13, std::size_t{32}}) {
+    for (std::size_t k = 2; k <= 8; ++k) {
+      const auto states = deterministic_fleet(k, m == 32 ? 16 : 4'000, enc, m);
+      const OdMatrix matrix = estimate_od_matrix(states, 2);
+      for (std::size_t a = 0; a < k; ++a) {
+        for (std::size_t b = 0; b < k; ++b) {
+          if (a == b) continue;
+          const EstimateInterval expected =
+              oracle.estimate(states[std::min(a, b)], states[std::max(a, b)]);
+          const EstimateInterval& got = matrix.at(a, b);
+          EXPECT_EQ(got.n_c_hat, expected.n_c_hat)
+              << "m=" << m << " k=" << k << " at(" << a << "," << b << ")";
+          EXPECT_EQ(got.stddev, expected.stddev);
+          EXPECT_EQ(got.lower, expected.lower);
+          EXPECT_EQ(got.upper, expected.upper);
+          EXPECT_EQ(got.floor_stddev, expected.floor_stddev);
+          EXPECT_EQ(got.degraded, expected.degraded);
+        }
       }
     }
   }
 }
 
 // The cache-blocked decode is a DRAM-traffic optimization, never an
-// approximation: every cell must match the per-pair path bit for bit,
-// for every tile size and worker count, including mixed array sizes
-// (unfold-aware tiling) and tile sizes that don't divide the arrays.
+// approximation: every cell must match the per-pair
+// IntervalEstimator::estimate bit for bit, for every tile size and worker
+// count, including mixed array sizes (unfold-aware tiling) and tile sizes
+// that don't divide the arrays.
 TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
-  if (std::getenv("VLM_DECODE") != nullptr) {
-    // The env override pins BOTH decodes to one path (it wins over the
-    // explicit DecodeMode, like VLM_KERNELS), which would make this
-    // comparison vacuous. The batch-vs-per-pair identity stays covered
-    // under pinned CI jobs by JointZeroCountsBatch.* and BatchDecodeFuzz,
-    // which call the primitive directly.
-    GTEST_SKIP() << "VLM_DECODE is pinned; path comparison is overridden";
-  }
   Encoder enc(EncoderConfig{});
   std::vector<RsuState> states;
   const std::size_t sizes[] = {1 << 12, 1 << 15, 1 << 13, 1 << 15, 1 << 14};
@@ -213,25 +208,30 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
     }
   }
 
-  DecodeOptions pairwise_options;
-  pairwise_options.mode = DecodeMode::kPairwise;
-  DecodeStats pairwise_stats;
-  const OdMatrix pairwise =
-      estimate_od_matrix(states, 2, 1.96, pairwise_options, &pairwise_stats);
+  const IntervalEstimator oracle(2, 1.96);
+  std::vector<EstimateInterval> pairwise;
+  std::size_t pairwise_words = 0;
+  for (std::size_t a = 0; a < states.size(); ++a) {
+    for (std::size_t b = a + 1; b < states.size(); ++b) {
+      PairEstimate point;
+      pairwise.push_back(oracle.estimate(states[a], states[b], &point));
+      pairwise_words += point.words_scanned;
+    }
+  }
 
   for (const std::size_t tile_words : {std::size_t{1}, std::size_t{7},
                                        std::size_t{64}, std::size_t{0}}) {
     for (const unsigned workers : {1u, 3u, 8u}) {
       DecodeOptions options;
-      options.mode = DecodeMode::kBlocked;
       options.tile_words = tile_words;
       options.workers = workers;
       DecodeStats stats;
       const OdMatrix blocked =
           estimate_od_matrix(states, 2, 1.96, options, &stats);
+      std::size_t p = 0;
       for (std::size_t a = 0; a < states.size(); ++a) {
-        for (std::size_t b = a + 1; b < states.size(); ++b) {
-          const EstimateInterval& pe = pairwise.at(a, b);
+        for (std::size_t b = a + 1; b < states.size(); ++b, ++p) {
+          const EstimateInterval& pe = pairwise[p];
           const EstimateInterval& be = blocked.at(a, b);
           EXPECT_EQ(pe.n_c_hat, be.n_c_hat)
               << "tile_words=" << tile_words << " workers=" << workers
@@ -243,9 +243,9 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
           EXPECT_EQ(pe.degraded, be.degraded);
         }
       }
-      // The decode accounting is path-independent as well.
-      EXPECT_EQ(stats.pairs_decoded, pairwise_stats.pairs_decoded);
-      EXPECT_EQ(stats.words_scanned, pairwise_stats.words_scanned);
+      // The decode accounting matches the per-pair oracle's as well.
+      EXPECT_EQ(stats.pairs_decoded, pairwise.size());
+      EXPECT_EQ(stats.words_scanned, pairwise_words);
       EXPECT_GT(stats.tile_words, 0u);
       EXPECT_GT(stats.dram_passes_saved, 0u);
     }
@@ -253,15 +253,11 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
 }
 
 TEST(OdMatrix, DecodePathSelectionAndStats) {
-  if (std::getenv("VLM_DECODE") != nullptr) {
-    GTEST_SKIP() << "VLM_DECODE is pinned; mode selection is overridden";
-  }
   Encoder enc(EncoderConfig{});
   const auto states = deterministic_fleet(4, 2'000, enc, 1 << 12);
 
   DecodeStats stats;
   (void)estimate_od_matrix(states, 2, 1.96, 1, &stats);
-  // kAuto resolves to the blocked path for K >= 3.
   EXPECT_STREQ(stats.path, "blocked");
   EXPECT_GT(stats.tile_words, 0u);
   // 4 arrays each touched by 3 pairs: per-pair would load each one 3
@@ -275,20 +271,14 @@ TEST(OdMatrix, DecodePathSelectionAndStats) {
   EXPECT_GE(pooled_stats.pool_lifetime_dispatches,
             pooled_stats.pool_dispatches);
 
-  DecodeOptions pairwise_options;
-  pairwise_options.mode = DecodeMode::kPairwise;
-  DecodeStats pairwise_stats;
-  (void)estimate_od_matrix(states, 2, 1.96, pairwise_options,
-                           &pairwise_stats);
-  EXPECT_STREQ(pairwise_stats.path, "pairwise");
-  EXPECT_EQ(pairwise_stats.tile_words, 0u);
-  EXPECT_EQ(pairwise_stats.dram_passes_saved, 0u);
-
-  // A single pair has nothing to block over: kAuto picks pairwise.
+  // A single pair goes through the same sweep; with one partner per
+  // array the tiling saves no pass.
   const std::span<const RsuState> two(states.data(), 2);
   DecodeStats two_stats;
   (void)estimate_od_matrix(two, 2, 1.96, 1, &two_stats);
-  EXPECT_STREQ(two_stats.path, "pairwise");
+  EXPECT_STREQ(two_stats.path, "blocked");
+  EXPECT_GT(two_stats.tile_words, 0u);
+  EXPECT_EQ(two_stats.dram_passes_saved, 0u);
 }
 
 TEST(OdMatrix, DecodeStatsThroughputHelpers) {
@@ -315,16 +305,6 @@ TEST(OdMatrix, Guards) {
 }
 
 // --- Pruned decode ---
-
-// The pruned suites compare explicit kPruned runs against an explicit
-// exact reference. A VLM_DECODE pin other than "pruned" rewrites the
-// kPruned mode itself, making every expectation about pruning vacuous
-// or wrong; a "pruned" pin is fine (the reference decode's default
-// PruneOptions keep it exact — min_volume 0 skips nothing).
-bool pruned_mode_unavailable() {
-  const char* pin = std::getenv("VLM_DECODE");
-  return pin != nullptr && std::string_view(pin) != "pruned";
-}
 
 // A sparse deployment with exact known structure: `roads` lists
 // (a, b, shared) — pair (a, b) shares `shared` identical bit indices
@@ -367,19 +347,13 @@ void expect_cells_equal(const EstimateInterval& got,
 }
 
 // Conservative defaults (min_volume = 0) must keep every pair: the
-// pruned path then reproduces the blocked decode bit for bit on a dense
-// workload — which is what makes a process-wide VLM_DECODE=pruned pin
-// safe.
+// pruned path then reproduces the exact decode bit for bit on a dense
+// workload.
 TEST(OdMatrixPruned, DefaultOptionsKeepEveryPairAndMatchExact) {
-  if (pruned_mode_unavailable()) {
-    GTEST_SKIP() << "VLM_DECODE pins a non-pruned path";
-  }
   Encoder enc(EncoderConfig{});
   const auto states = deterministic_fleet(5, 8'000, enc, 1 << 13);
 
-  DecodeOptions exact_options;
-  exact_options.mode = DecodeMode::kBlocked;
-  const OdMatrix exact = estimate_od_matrix(states, 2, 1.96, exact_options);
+  const OdMatrix exact = estimate_od_matrix(states, 2);
 
   DecodeOptions options;
   options.mode = DecodeMode::kPruned;
@@ -407,9 +381,6 @@ TEST(OdMatrixPruned, DefaultOptionsKeepEveryPairAndMatchExact) {
 // must read as the shared all-zero interval in BOTH query orders, and
 // the aggregate must sum exactly the survivors.
 TEST(OdMatrixPruned, SparseStorageMatchesDenseOracleForEveryKUpToEight) {
-  if (pruned_mode_unavailable()) {
-    GTEST_SKIP() << "VLM_DECODE pins a non-pruned path";
-  }
   constexpr std::size_t kM = 1 << 13;
   for (std::size_t k = 3; k <= 8; ++k) {
     // Roads touch a deliberately irregular pair set: first-to-last,
@@ -418,9 +389,7 @@ TEST(OdMatrixPruned, SparseStorageMatchesDenseOracleForEveryKUpToEight) {
     if (k >= 6) roads.push_back({2, 5, kM / 8});
     const auto states = sparse_fleet(k, kM, roads, kM / 8, 0xABCD + k);
 
-    DecodeOptions exact_options;
-    exact_options.mode = DecodeMode::kBlocked;
-    const OdMatrix exact = estimate_od_matrix(states, 2, 1.96, exact_options);
+    const OdMatrix exact = estimate_od_matrix(states, 2);
 
     DecodeOptions options;
     options.mode = DecodeMode::kPruned;
@@ -471,9 +440,6 @@ TEST(OdMatrixPruned, SparseStorageMatchesDenseOracleForEveryKUpToEight) {
 // the threshold — and that every survivor is bit-identical to the
 // exact sweep.
 TEST(OdMatrixPruned, NeverDropsPairsAboveMinVolume) {
-  if (pruned_mode_unavailable()) {
-    GTEST_SKIP() << "VLM_DECODE pins a non-pruned path";
-  }
   constexpr std::size_t kM = 1 << 14;
   constexpr double kFloor = 2000.0;
   // Overlap ladder: zero, well below, just below, just above, and far
@@ -483,9 +449,7 @@ TEST(OdMatrixPruned, NeverDropsPairsAboveMinVolume) {
                         {2, 3, 4000}, {3, 4, kM / 4}};
   const auto states = sparse_fleet(6, kM, roads, kM / 8, 0xFEED);
 
-  DecodeOptions exact_options;
-  exact_options.mode = DecodeMode::kBlocked;
-  const OdMatrix exact = estimate_od_matrix(states, 2, 1.96, exact_options);
+  const OdMatrix exact = estimate_od_matrix(states, 2);
 
   for (const std::size_t stride : {std::size_t{1}, std::size_t{2},
                                    std::size_t{8}}) {
@@ -523,9 +487,6 @@ TEST(OdMatrixPruned, NeverDropsPairsAboveMinVolume) {
 // path must produce the identical survivor set AND identical cells for
 // any worker count — same promise the blocked path makes.
 TEST(OdMatrixPruned, ParallelBitIdenticalToSerial) {
-  if (pruned_mode_unavailable()) {
-    GTEST_SKIP() << "VLM_DECODE pins a non-pruned path";
-  }
   constexpr std::size_t kM = 1 << 13;
   const Road roads[] = {{0, 1, kM / 8}, {3, 7, kM / 8}, {2, 9, kM / 8}};
   const auto states = sparse_fleet(10, kM, roads, kM / 8, 0xBEEF);
@@ -560,9 +521,6 @@ TEST(OdMatrixPruned, ParallelBitIdenticalToSerial) {
 // Pruned-path stats wiring: path/storage strings, the phase seconds,
 // and the pairs_decoded == pairs_survived contract.
 TEST(OdMatrixPruned, StatsReportPhasesAndStorage) {
-  if (pruned_mode_unavailable()) {
-    GTEST_SKIP() << "VLM_DECODE pins a non-pruned path";
-  }
   constexpr std::size_t kM = 1 << 13;
   const Road roads[] = {{0, 1, kM / 8}};
   const auto states = sparse_fleet(8, kM, roads, kM / 8, 0xCAFE);

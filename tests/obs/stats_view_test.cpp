@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,23 +104,17 @@ TEST(MetricsStatsView, PrunedDecodeStatsEqualRegistryDelta) {
             stats.pairs_pruned);
   EXPECT_EQ(counter_value("decode/pairs_survived") - survived_before,
             stats.pairs_survived);
-  // The pin-aware expectations: a VLM_DECODE override to a non-pruned
-  // path legitimately rewrites the mode, leaving the prune counters at
-  // zero — the registry deltas above stay exact either way.
-  if (const char* pin = std::getenv("VLM_DECODE");
-      pin == nullptr || std::string(pin) == "pruned") {
-    EXPECT_STREQ(stats.path, "pruned");
-    EXPECT_EQ(stats.pairs_pruned + stats.pairs_survived,
-              kRsus * (kRsus - 1) / 2);
-    const obs::HistogramSummary prune_after = phase_summary("decode/prune");
-    EXPECT_EQ(prune_after.count - prune_before.count, 1u);
-    EXPECT_NEAR(prune_after.total - prune_before.total, stats.prune_seconds,
-                1e-6);
-    EXPECT_EQ(std::string(obs::MetricsRegistry::global()
-                              .info("decode/path")
-                              .value()),
-              "pruned");
-  }
+  EXPECT_STREQ(stats.path, "pruned");
+  EXPECT_EQ(stats.pairs_pruned + stats.pairs_survived,
+            kRsus * (kRsus - 1) / 2);
+  const obs::HistogramSummary prune_after = phase_summary("decode/prune");
+  EXPECT_EQ(prune_after.count - prune_before.count, 1u);
+  EXPECT_NEAR(prune_after.total - prune_before.total, stats.prune_seconds,
+              1e-6);
+  EXPECT_EQ(std::string(obs::MetricsRegistry::global()
+                            .info("decode/path")
+                            .value()),
+            "pruned");
 }
 
 TEST(MetricsStatsView, IngestAndPipelineStatsEqualRegistryDelta) {

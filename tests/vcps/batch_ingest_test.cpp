@@ -1,21 +1,23 @@
-// Bit-identity of the columnar batch ingest engine (IngestMode::kBatch)
-// against the per-vehicle scalar loop — the acceptance gate of the staged
-// SoA pipeline. Every suite here fixes the engine explicitly through the
-// `mode` parameter, so the assertions hold regardless of what VLM_INGEST
-// or the kAuto default resolve to, and regardless of which engine the
-// ParallelIngest suites happened to exercise.
+// Bit-identity of drive_vehicles' columnar ingest engine against two
+// oracles that share no code with it: the per-vehicle protocol loop
+// below (one Vehicle, one query, one reply at a time, with the hashed
+// order-independent channel draws) on a lossy channel, and the serial
+// drive_vehicle API on a loss-free one.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/hashing.h"
 #include "common/visited_mask.h"
 #include "core/pair_simulation.h"
 #include "core/scheme.h"
 #include "traffic/multi_rsu_workload.h"
 #include "vcps/ingest_batch.h"
+#include "vcps/pki.h"
 #include "vcps/simulation.h"
+#include "vcps/vehicle.h"
 
 namespace vlm::vcps {
 namespace {
@@ -86,19 +88,72 @@ BulkItineraryProvider bulk_provider_for(
   };
 }
 
-std::unique_ptr<VcpsSimulation> run_with_mode(
+// One period of `count` vehicles through drive_vehicles.
+std::unique_ptr<VcpsSimulation> run_engine(
     const ChannelConfig& channel, const traffic::MultiRsuWorkload& workload,
-    std::span<const RsuSite> sites, unsigned workers, IngestMode mode,
-    IngestStats* stats_out = nullptr,
-    PipelineMode pipeline = PipelineMode::kAuto) {
+    std::span<const RsuSite> sites, unsigned workers,
+    std::uint64_t count = kVehicles, IngestStats* stats_out = nullptr) {
   auto sim = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
   sim->begin_period();
-  const IngestStats stats = sim->drive_vehicles(
-      kVehicles, provider_for(workload), workers, mode, pipeline);
-  EXPECT_EQ(stats.vehicles, kVehicles);
+  const IngestStats stats =
+      sim->drive_vehicles(count, provider_for(workload), workers);
+  EXPECT_EQ(stats.vehicles, count);
   if (stats_out != nullptr) *stats_out = stats;
   sim->end_period();
   return sim;
+}
+
+// What the per-vehicle oracle lands: per-RSU states, channel tally and
+// successful deliveries.
+struct OracleResult {
+  std::vector<core::RsuState> states;
+  ChannelTally tally;
+  std::uint64_t exchanges = 0;
+};
+
+// Lossy-channel oracle: drives `count` fresh vehicles (numbered after the
+// ones `sim` has driven) through `sim`'s open period one protocol
+// exchange at a time, drawing every channel outcome from the hashed
+// DsrcChannel::*_for domains keyed by (period, vehicle number, RSU).
+// Those draws do not depend on execution order, so this serial loop is
+// the reference for every worker count. Reads `sim` only through its
+// public API and leaves it untouched.
+OracleResult per_vehicle_oracle(const VcpsSimulation& sim,
+                                const SimulationConfig& config,
+                                const traffic::MultiRsuWorkload& workload,
+                                std::uint64_t count) {
+  const CertificateAuthority ca(config.ca_master_secret);
+  const std::uint64_t period = sim.current_period();
+  OracleResult out;
+  for (std::size_t r = 0; r < sim.rsu_count(); ++r) {
+    out.states.emplace_back(sim.rsu(r).state().array_size());
+  }
+  common::VisitedMask visited(sim.rsu_count());
+  std::vector<std::uint32_t> rsus;
+  for (std::uint64_t v = 0; v < count; ++v) {
+    const std::uint64_t vehicle_number = sim.vehicles_driven() + v + 1;
+    const core::VehicleIdentity identity =
+        core::synthetic_vehicle(config.seed, vehicle_number);
+    Vehicle vehicle(identity, sim.encoder(), ca,
+                    common::mix64(identity.masked_key() ^ period));
+    workload.itinerary(v, visited, rsus);
+    for (const std::uint32_t position : rsus) {
+      const Rsu& rsu = sim.rsu(position);
+      if (!sim.channel().query_delivered_for(period, vehicle_number, rsu.id(),
+                                             out.tally)) {
+        continue;
+      }
+      const auto reply = vehicle.handle_query(rsu.make_query(period));
+      if (!reply.has_value()) continue;
+      const int deliveries = sim.channel().deliveries_for_reply_for(
+          period, vehicle_number, rsu.id(), out.tally);
+      for (int d = 0; d < deliveries; ++d) {
+        out.states[position].record(reply->bit_index);
+        ++out.exchanges;
+      }
+    }
+  }
+  return out;
 }
 
 void expect_reports_identical(const VcpsSimulation& a,
@@ -113,39 +168,51 @@ void expect_reports_identical(const VcpsSimulation& a,
   }
 }
 
-TEST(BatchIngest, BitIdenticalToScalarEngineAcrossWorkerCountsLossyChannel) {
-  // The whole point of the refactor: for every worker count, the staged
-  // columnar pipeline must land exactly the bits, counters, exchange
-  // counts, AND channel tallies of the per-vehicle loop under a lossy +
-  // duplicating channel.
-  traffic::MultiRsuWorkload workload(workload_config());
+TEST(BatchIngest, BitIdenticalToPerVehicleOracleAcrossWorkerCountsLossyChannel) {
+  // For every worker count the engine must land exactly the oracle's
+  // bits, counters, exchange count AND channel tallies under a lossy +
+  // duplicating channel. 40000 vehicles make the overlap schedule run
+  // every prologue/epilogue shape over its 16384-vehicle sub-slices:
+  // 1 worker drains 3 sub-slices, 2 workers 2 each, 4 and 7 workers one.
+  traffic::MultiRsuConfig config = workload_config();
+  config.vehicle_count = 40'000;
+  traffic::MultiRsuWorkload workload(config);
   const std::vector<RsuSite> sites = sites_for(workload);
   const ChannelConfig channel = lossy_channel();
 
+  VcpsSimulation reference(sim_config(channel), sites);
+  reference.begin_period();
+  const OracleResult oracle = per_vehicle_oracle(
+      reference, sim_config(channel), workload, config.vehicle_count);
+  ASSERT_GT(oracle.tally.queries_lost, 0u);
+  ASSERT_GT(oracle.tally.replies_lost, 0u);
+  ASSERT_GT(oracle.tally.replies_duplicated, 0u);
+
   for (const unsigned workers : {1u, 2u, 4u, 7u}) {
-    IngestStats scalar_stats, batch_stats;
-    const auto scalar = run_with_mode(channel, workload, sites, workers,
-                                      IngestMode::kScalar, &scalar_stats);
-    const auto batch = run_with_mode(channel, workload, sites, workers,
-                                     IngestMode::kBatch, &batch_stats);
-    EXPECT_STREQ(scalar_stats.path, "scalar");
-    EXPECT_STREQ(batch_stats.path, "batch");
-    EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges)
+    IngestStats stats;
+    const auto engine = run_engine(channel, workload, sites, workers,
+                                   config.vehicle_count, &stats);
+    EXPECT_EQ(stats.exchanges, oracle.exchanges) << "workers " << workers;
+    for (std::size_t r = 0; r < kRsus; ++r) {
+      const core::RsuState& got = engine->rsu(r).state();
+      EXPECT_EQ(got.counter(), oracle.states[r].counter())
+          << "workers " << workers << " RSU " << r;
+      EXPECT_EQ(got.bits().to_bytes(), oracle.states[r].bits().to_bytes())
+          << "workers " << workers << " RSU " << r;
+    }
+    EXPECT_EQ(engine->channel().queries_lost(), oracle.tally.queries_lost)
         << "workers " << workers;
-    expect_reports_identical(*scalar, *batch);
-    EXPECT_EQ(batch->channel().queries_lost(), scalar->channel().queries_lost())
+    EXPECT_EQ(engine->channel().replies_lost(), oracle.tally.replies_lost)
         << "workers " << workers;
-    EXPECT_EQ(batch->channel().replies_lost(), scalar->channel().replies_lost())
-        << "workers " << workers;
-    EXPECT_EQ(batch->channel().replies_duplicated(),
-              scalar->channel().replies_duplicated())
+    EXPECT_EQ(engine->channel().replies_duplicated(),
+              oracle.tally.replies_duplicated)
         << "workers " << workers;
   }
 }
 
 TEST(BatchIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
-  // Loss-free channel: no randomness on any path, so the batch engine
-  // must also match the one-vehicle-at-a-time serial API exactly.
+  // Loss-free channel: no randomness on any path, so the engine must
+  // also match the one-vehicle-at-a-time serial API exactly.
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
 
@@ -161,96 +228,25 @@ TEST(BatchIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
   }
   serial->end_period();
 
-  for (const unsigned workers : {1u, 4u}) {
-    const auto batch = run_with_mode({}, workload, sites, workers,
-                                     IngestMode::kBatch);
-    expect_reports_identical(*serial, *batch);
-  }
-}
-
-TEST(BatchIngest, PipelineSchedulesBitIdenticalAcrossWorkersLossyChannel) {
-  // The overlap schedule only double-buffers when a worker slice spans
-  // more than one sub-slice (8192 vehicles), so this suite drives 20000
-  // vehicles: 1 worker runs 3 sub-slices, 2 workers run 2 each, 4 and 7
-  // degenerate to single-sub-slice slices — every epilogue/prologue
-  // shape. For each, both schedules must land the scalar engine's exact
-  // bits, counters, exchange counts, and channel tallies.
-  traffic::MultiRsuConfig config = workload_config();
-  config.vehicle_count = 20'000;
-  traffic::MultiRsuWorkload workload(config);
-  const std::vector<RsuSite> sites = sites_for(workload);
-  const ChannelConfig channel = lossy_channel();
-
-  const auto run = [&](unsigned workers, IngestMode mode,
-                       PipelineMode pipeline, IngestStats* stats_out) {
-    auto sim = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
-    sim->begin_period();
-    const IngestStats stats = sim->drive_vehicles(
-        config.vehicle_count, provider_for(workload), workers, mode, pipeline);
-    if (stats_out != nullptr) *stats_out = stats;
-    sim->end_period();
-    return sim;
-  };
-
   for (const unsigned workers : {1u, 2u, 4u, 7u}) {
-    IngestStats scalar_stats;
-    const auto scalar = run(workers, IngestMode::kScalar, PipelineMode::kAuto,
-                            &scalar_stats);
-    EXPECT_STREQ(scalar_stats.pipeline, "off");  // scalar engine never overlaps
-    for (const PipelineMode pipeline :
-         {PipelineMode::kOff, PipelineMode::kOverlap}) {
-      IngestStats batch_stats;
-      const auto batch = run(workers, IngestMode::kBatch, pipeline,
-                             &batch_stats);
-      EXPECT_STREQ(batch_stats.pipeline,
-                   pipeline == PipelineMode::kOverlap ? "overlap" : "off")
-          << "workers " << workers;
-      EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges)
-          << "workers " << workers;
-      expect_reports_identical(*scalar, *batch);
-      EXPECT_EQ(batch->channel().queries_lost(),
-                scalar->channel().queries_lost())
-          << "workers " << workers;
-      EXPECT_EQ(batch->channel().replies_lost(),
-                scalar->channel().replies_lost())
-          << "workers " << workers;
-      EXPECT_EQ(batch->channel().replies_duplicated(),
-                scalar->channel().replies_duplicated())
-          << "workers " << workers;
-    }
+    const auto engine = run_engine({}, workload, sites, workers);
+    expect_reports_identical(*serial, *engine);
   }
 }
 
-TEST(BatchIngest, StageSecondsPopulatedOnBatchPathOnly) {
+TEST(BatchIngest, StageSecondsAndSubSliceLoopPopulated) {
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
 
-  IngestStats batch_stats;
-  run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kBatch,
-                &batch_stats);
-  // Wall clocks tick: with 6000 vehicles every stage measures > 0, and
-  // the default schedule (kAuto -> overlap) runs the sub-slice loop.
-  EXPECT_GT(batch_stats.materialize_seconds, 0.0);
-  EXPECT_GT(batch_stats.hash_seconds, 0.0);
-  EXPECT_GT(batch_stats.channel_seconds, 0.0);
-  EXPECT_GT(batch_stats.scatter_seconds, 0.0);
-  EXPECT_STREQ(batch_stats.pipeline, "overlap");
-  EXPECT_GT(batch_stats.pipeline_seconds, 0.0);
-
-  IngestStats off_stats;
-  run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kBatch,
-                &off_stats, PipelineMode::kOff);
-  EXPECT_STREQ(off_stats.pipeline, "off");
-  EXPECT_EQ(off_stats.pipeline_seconds, 0.0);
-
-  IngestStats scalar_stats;
-  run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kScalar,
-                &scalar_stats);
-  EXPECT_EQ(scalar_stats.materialize_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.hash_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.channel_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.scatter_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.pipeline_seconds, 0.0);
+  IngestStats stats;
+  run_engine(lossy_channel(), workload, sites, 2, kVehicles, &stats);
+  // Wall clocks tick: with 6000 vehicles every stage and the sub-slice
+  // loop around them measure > 0.
+  EXPECT_GT(stats.materialize_seconds, 0.0);
+  EXPECT_GT(stats.hash_seconds, 0.0);
+  EXPECT_GT(stats.channel_seconds, 0.0);
+  EXPECT_GT(stats.scatter_seconds, 0.0);
+  EXPECT_GT(stats.pipeline_seconds, 0.0);
 }
 
 TEST(BatchIngest, MaterializationReproducesSeedConfigItineraries) {
@@ -326,29 +322,27 @@ TEST(BatchIngest, ColumnsResetClearsStaleTuples) {
 TEST(BatchIngest, BulkProviderMatchesPerVehicleProvider) {
   // The native CSR bulk form and the adapted per-vehicle form must be
   // indistinguishable end to end — same reports, same exchange counts,
-  // same channel tallies — on both engines.
+  // same channel tallies.
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
   const ChannelConfig channel = lossy_channel();
 
-  for (const IngestMode mode : {IngestMode::kScalar, IngestMode::kBatch}) {
-    IngestStats per_vehicle_stats;
-    const auto per_vehicle = run_with_mode(channel, workload, sites, 2, mode,
-                                           &per_vehicle_stats);
-    auto bulk = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
-    bulk->begin_period();
-    const IngestStats bulk_stats =
-        bulk->drive_vehicles(kVehicles, bulk_provider_for(workload), 2, mode);
-    bulk->end_period();
-    EXPECT_EQ(bulk_stats.exchanges, per_vehicle_stats.exchanges);
-    expect_reports_identical(*per_vehicle, *bulk);
-    EXPECT_EQ(bulk->channel().queries_lost(),
-              per_vehicle->channel().queries_lost());
-    EXPECT_EQ(bulk->channel().replies_lost(),
-              per_vehicle->channel().replies_lost());
-    EXPECT_EQ(bulk->channel().replies_duplicated(),
-              per_vehicle->channel().replies_duplicated());
-  }
+  IngestStats per_vehicle_stats;
+  const auto per_vehicle =
+      run_engine(channel, workload, sites, 2, kVehicles, &per_vehicle_stats);
+  auto bulk = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
+  bulk->begin_period();
+  const IngestStats bulk_stats =
+      bulk->drive_vehicles(kVehicles, bulk_provider_for(workload), 2);
+  bulk->end_period();
+  EXPECT_EQ(bulk_stats.exchanges, per_vehicle_stats.exchanges);
+  expect_reports_identical(*per_vehicle, *bulk);
+  EXPECT_EQ(bulk->channel().queries_lost(),
+            per_vehicle->channel().queries_lost());
+  EXPECT_EQ(bulk->channel().replies_lost(),
+            per_vehicle->channel().replies_lost());
+  EXPECT_EQ(bulk->channel().replies_duplicated(),
+            per_vehicle->channel().replies_duplicated());
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   parser.add_int("periods", 1, "measurement periods to simulate");
   parser.add_flag("decode-matrix", false,
                   "decode the full OD matrix after the last period and print "
-                  "the decode stats (path steered by VLM_DECODE)");
+                  "the decode stats");
   parser.add_string("metrics", "",
                     "write the metrics/phase trace here (VLM_METRICS when "
                     "empty)");
@@ -308,8 +308,7 @@ int main(int argc, char** argv) {
     if (parser.get_flag("decode-matrix") && sim->rsu_count() >= 2) {
       // Decode the archived period's matrix through the server — the
       // same estimate path vlm_analyze runs offline — and surface the
-      // decode phase stats (including the prune counters when
-      // VLM_DECODE=pruned steers the path).
+      // decode phase stats.
       const core::OdMatrix matrix = sim->server().estimate_matrix();
       std::printf("total estimated pairwise common traffic: %.0f\n",
                   matrix.total_estimated_common());
