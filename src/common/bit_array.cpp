@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/kernels/kernels.h"
 #include "common/parallel.h"
@@ -166,21 +167,15 @@ void ShardedBitArray::reset() {
   for (BitArray& shard : shards_) shard.reset();
 }
 
+// The serialized layout is the words' little-endian bytes, truncated to
+// ceil(bit_count / 8), so on a little-endian host both directions are a
+// single copy.
+static_assert(std::endian::native == std::endian::little,
+              "to_bytes/from_bytes copy words_ as little-endian bytes");
+
 std::vector<std::uint8_t> BitArray::to_bytes() const {
-  // Word-wise, mirroring from_bytes: load each word once and shift its
-  // bytes out, instead of re-reading words_[b / 8] for every output byte.
-  std::vector<std::uint8_t> bytes((bit_count_ + 7) / 8, 0);
-  std::size_t b = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    const std::size_t limit = std::min<std::size_t>(8, bytes.size() - b);
-    for (std::size_t i = 0; i < limit; ++i) {
-      bytes[b + i] = static_cast<std::uint8_t>(word & 0xFFu);
-      word >>= 8;
-    }
-    b += limit;
-  }
-  return bytes;
+  const auto* first = reinterpret_cast<const std::uint8_t*>(words_.data());
+  return {first, first + (bit_count_ + 7) / 8};
 }
 
 JointZeroCounts joint_zero_counts(const BitArray& a, const BitArray& b) {
@@ -412,9 +407,7 @@ BitArray BitArray::from_bytes(std::size_t bit_count,
   VLM_REQUIRE(bytes.size() == (bit_count + 7) / 8,
               "byte buffer does not match the declared bit count");
   BitArray out(bit_count);
-  for (std::size_t b = 0; b < bytes.size(); ++b) {
-    out.words_[b / 8] |= static_cast<std::uint64_t>(bytes[b]) << ((b % 8) * 8);
-  }
+  std::memcpy(out.words_.data(), bytes.data(), bytes.size());
   // Trailing bits past bit_count must stay zero; reject buffers that set
   // them, since they would silently corrupt zero counting.
   const std::size_t tail = bit_count % kWordBits;

@@ -1,6 +1,7 @@
 #include "vcps/central_server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bit_array.h"
 #include "common/require.h"
@@ -82,7 +83,7 @@ void CentralServer::begin_period(std::uint64_t period) {
   stats_.period = period;
 }
 
-QuarantineReason CentralServer::ingest(const RsuReport& report) {
+QuarantineReason CentralServer::ingest(RsuReport report) {
   ServerMetrics& metrics = server_metrics();
   obs::Span ingest_span(metrics.ingest);
   auto history_it = history_.find(report.rsu);
@@ -138,7 +139,8 @@ QuarantineReason CentralServer::ingest(const RsuReport& report) {
   // traffic data in the current measurement period").
   history_it->second = (1.0 - history_alpha_) * history_it->second +
                        history_alpha_ * static_cast<double>(report.counter);
-  reports_.emplace(report.rsu, report);
+  const core::RsuId id = report.rsu;
+  reports_.emplace(id, std::move(report));
   return account(QuarantineReason::kNone);
 }
 

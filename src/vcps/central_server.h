@@ -100,7 +100,8 @@ class CentralServer {
   // size mismatch, or duplicate reports. With validation enabled,
   // implausible reports are quarantined instead of stored: they enter
   // neither estimates nor the history, and the returned reason says why.
-  QuarantineReason ingest(const RsuReport& report);
+  // A stored report is moved in, so pass a temporary to avoid a copy.
+  QuarantineReason ingest(RsuReport report);
 
   std::size_t reports_received() const { return reports_.size(); }
   std::size_t quarantined_count() const { return quarantined_.size(); }

@@ -151,13 +151,9 @@ std::vector<RsuReport> EventSimulation::make_reports(
   std::vector<RsuReport> reports;
   reports.reserve(rsus_.size());
   for (const EventSimRsu& rsu : rsus_) {
-    RsuReport report;
-    report.rsu = rsu.id;
-    report.period = period;
-    report.counter = rsu.state.counter();
-    report.array_size = rsu.state.array_size();
-    report.bits = rsu.state.bits().to_bytes();
-    reports.push_back(std::move(report));
+    reports.push_back(RsuReport{rsu.id, period, rsu.state.counter(),
+                                rsu.state.array_size(),
+                                rsu.state.bits().to_bytes()});
   }
   return reports;
 }

@@ -28,13 +28,8 @@ void Rsu::absorb_shard(const core::RsuState& shard) {
 }
 
 RsuReport Rsu::make_report(std::uint64_t period) const {
-  RsuReport report;
-  report.rsu = id_;
-  report.period = period;
-  report.counter = state_.counter();
-  report.array_size = state_.array_size();
-  report.bits = state_.bits().to_bytes();
-  return report;
+  return RsuReport{id_, period, state_.counter(), state_.array_size(),
+                   state_.bits().to_bytes()};
 }
 
 void Rsu::begin_period(std::size_t array_size) {

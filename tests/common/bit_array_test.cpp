@@ -457,10 +457,10 @@ TEST(JointZeroCounts, SubWordFallbackMatchesReferenceExhaustively) {
   }
 }
 
-// --- to_bytes word-wise rewrite ---
+// --- to_bytes layout oracle ---
 
 TEST(BitArraySerialization, ToBytesMatchesPerBitExtraction) {
-  // The word-wise to_bytes must emit exactly the bytes a per-bit walk
+  // The memcpy to_bytes must emit exactly the bytes a per-bit walk
   // would, including the partially occupied final byte.
   for (const std::size_t size : {1u, 5u, 8u, 13u, 64u, 65u, 71u, 127u, 128u,
                                  129u, 1000u, 4096u}) {
@@ -468,7 +468,8 @@ TEST(BitArraySerialization, ToBytesMatchesPerBitExtraction) {
     const std::vector<std::uint8_t> bytes = bits.to_bytes();
     ASSERT_EQ(bytes.size(), (size + 7) / 8) << "size=" << size;
     for (std::size_t i = 0; i < size; ++i) {
-      EXPECT_EQ((bytes[i / 8] >> (i % 8)) & 1u, bits.test(i) ? 1u : 0u)
+      EXPECT_EQ((unsigned{bytes[i / 8]} >> (i % 8)) & 1u,
+                bits.test(i) ? 1u : 0u)
           << "size=" << size << " bit " << i;
     }
     EXPECT_EQ(BitArray::from_bytes(size, bytes), bits) << "size=" << size;

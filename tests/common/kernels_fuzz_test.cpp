@@ -324,8 +324,12 @@ TEST_P(KernelFuzz, ZipfRankRunsMatchesScalarAndExpandedBatch) {
       switch (rng.uniform(5)) {
         case 0: run_slots[i] = 0; break;
         case 1: run_slots[i] = 1; break;
-        case 2: run_slots[i] = 1020 + rng.uniform(10); break;  // chunk edge
-        default: run_slots[i] = rng.uniform(120); break;
+        case 2:  // chunk edge
+          run_slots[i] = static_cast<std::uint32_t>(1020 + rng.uniform(10));
+          break;
+        default:
+          run_slots[i] = static_cast<std::uint32_t>(rng.uniform(120));
+          break;
       }
       for (std::uint32_t s = 0; s < run_slots[i]; ++s) {
         expanded.push_back(starts[i] + s * kGamma);

@@ -6,6 +6,8 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/bit_array.h"
 #include "common/rng.h"
@@ -14,16 +16,18 @@
 namespace vlm::vcps {
 namespace {
 
-std::string valid_archive_bytes() {
+std::string archive_bytes(std::uint64_t period,
+                          const std::vector<std::size_t>& sizes) {
   PeriodArchive archive;
-  archive.period = 9;
-  for (std::uint64_t id = 1; id <= 2; ++id) {
-    common::BitArray bits(256);
-    bits.set(3 * id);
-    bits.set(100 + id);
+  archive.period = period;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const std::uint64_t id = i + 1;
+    common::BitArray bits(sizes[i]);
+    bits.set((3 * id) % sizes[i]);
+    bits.set((100 + id) % sizes[i]);
     RsuReport report;
     report.rsu = core::RsuId{id};
-    report.period = 9;
+    report.period = period;
     report.counter = 2 + id;
     report.array_size = bits.size();
     report.bits = bits.to_bytes();
@@ -34,40 +38,51 @@ std::string valid_archive_bytes() {
   return stream.str();
 }
 
+std::string valid_archive_bytes() { return archive_bytes(9, {256, 256}); }
+
+// The sweep inputs. Payloads of 1, 8, 32 and 256 bytes put flips in the
+// digest's byte chain (< 32 bytes) as well as in its word lanes.
+std::vector<std::string> sweep_archives() {
+  return {valid_archive_bytes(), archive_bytes(11, {2, 64, 256, 2048})};
+}
+
 TEST(ArchiveFuzz, EverySingleByteFlipIsHandled) {
-  const std::string valid = valid_archive_bytes();
   int rejected = 0, accepted = 0;
-  for (std::size_t offset = 0; offset < valid.size(); ++offset) {
-    for (int flip : {0x01, 0x80, 0xFF}) {
-      std::string mutated = valid;
-      mutated[offset] = static_cast<char>(mutated[offset] ^ flip);
-      std::stringstream stream(mutated);
-      try {
-        const PeriodArchive archive = read_archive(stream);
-        // Accepted: must still be structurally sound (this can only
-        // happen if the flip cancelled out, which XOR never does — but a
-        // future format change could make benign bytes possible, so
-        // validate rather than assert unreachable).
-        for (const RsuReport& r : archive.reports) {
-          EXPECT_EQ(r.bits.size(), (r.array_size + 7) / 8);
+  for (const std::string& valid : sweep_archives()) {
+    for (std::size_t offset = 0; offset < valid.size(); ++offset) {
+      for (int flip : {0x01, 0x80, 0xFF}) {
+        std::string mutated = valid;
+        mutated[offset] = static_cast<char>(mutated[offset] ^ flip);
+        std::stringstream stream(mutated);
+        try {
+          const PeriodArchive archive = read_archive(stream);
+          // Accepted: must still be structurally sound (this can only
+          // happen if the flip cancelled out, which XOR never does — but a
+          // future format change could make benign bytes possible, so
+          // validate rather than assert unreachable).
+          for (const RsuReport& r : archive.reports) {
+            EXPECT_EQ(r.bits.size(), (r.array_size + 7) / 8);
+          }
+          ++accepted;
+        } catch (const std::runtime_error&) {
+          ++rejected;
         }
-        ++accepted;
-      } catch (const std::runtime_error&) {
-        ++rejected;
       }
     }
   }
-  // With a chained digest over all bytes, every flip must be caught.
+  // Every digest step is a bijection of its state, so a single changed
+  // byte always changes the checksum: every flip must be caught.
   EXPECT_EQ(accepted, 0);
   EXPECT_GT(rejected, 0);
 }
 
 TEST(ArchiveFuzz, EveryTruncationIsRejected) {
-  const std::string valid = valid_archive_bytes();
-  for (std::size_t keep = 0; keep < valid.size(); ++keep) {
-    std::stringstream stream(valid.substr(0, keep));
-    EXPECT_THROW((void)read_archive(stream), std::runtime_error)
-        << "truncation at " << keep << " bytes";
+  for (const std::string& valid : sweep_archives()) {
+    for (std::size_t keep = 0; keep < valid.size(); ++keep) {
+      std::stringstream stream(valid.substr(0, keep));
+      EXPECT_THROW((void)read_archive(stream), std::runtime_error)
+          << "truncation at " << keep << " of " << valid.size() << " bytes";
+    }
   }
 }
 

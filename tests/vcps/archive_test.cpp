@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,6 +30,25 @@ PeriodArchive sample_archive() {
   return archive;
 }
 
+void expect_same_archive(const PeriodArchive& actual,
+                         const PeriodArchive& expected) {
+  EXPECT_EQ(actual.period, expected.period);
+  ASSERT_EQ(actual.reports.size(), expected.reports.size());
+  for (std::size_t i = 0; i < expected.reports.size(); ++i) {
+    EXPECT_EQ(actual.reports[i].rsu, expected.reports[i].rsu);
+    EXPECT_EQ(actual.reports[i].period, expected.reports[i].period);
+    EXPECT_EQ(actual.reports[i].counter, expected.reports[i].counter);
+    EXPECT_EQ(actual.reports[i].array_size, expected.reports[i].array_size);
+    EXPECT_EQ(actual.reports[i].bits, expected.reports[i].bits);
+  }
+}
+
+std::string archive_bytes(const PeriodArchive& archive) {
+  std::stringstream stream;
+  write_archive(stream, archive);
+  return stream.str();
+}
+
 TEST(Archive, RoundTripsThroughStream) {
   const PeriodArchive original = sample_archive();
   std::stringstream stream;
@@ -35,13 +56,7 @@ TEST(Archive, RoundTripsThroughStream) {
   const PeriodArchive restored = read_archive(stream);
   EXPECT_EQ(restored.period, 42u);
   ASSERT_EQ(restored.reports.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(restored.reports[i].rsu, original.reports[i].rsu);
-    EXPECT_EQ(restored.reports[i].counter, original.reports[i].counter);
-    EXPECT_EQ(restored.reports[i].array_size, original.reports[i].array_size);
-    EXPECT_EQ(restored.reports[i].bits, original.reports[i].bits);
-    EXPECT_EQ(restored.reports[i].period, 42u);
-  }
+  expect_same_archive(restored, original);
 }
 
 TEST(Archive, RoundTripsThroughFile) {
@@ -110,6 +125,42 @@ TEST(Archive, WriteRejectsInconsistentReports) {
   archive = sample_archive();
   archive.reports[0].bits.pop_back();  // byte count mismatch
   EXPECT_THROW(write_archive(stream, archive), std::invalid_argument);
+}
+
+TEST(Archive, ChecksumOfSampleArchiveIsPinned) {
+  // Known answer for the version-2 lane digest: a change here breaks
+  // every archive already on disk, so it must come with a version bump.
+  const std::string data = archive_bytes(sample_archive());
+  ASSERT_EQ(data.size(), 20u + 3 * (28u + 128u) + 8u);
+  std::uint64_t checksum = 0;  // trailing u64, little-endian
+  std::memcpy(&checksum, data.data() + data.size() - 8, sizeof checksum);
+  EXPECT_EQ(checksum, 0x9AFE6F4DDFAF0724ull);
+}
+
+TEST(Archive, RejectsVersionOneArchives) {
+  std::string data = archive_bytes(sample_archive());
+  ASSERT_EQ(data[4], 2);  // u32 version at offset 4, little-endian
+  data[4] = 1;
+  std::stringstream stream(data);
+  try {
+    (void)read_archive(stream);
+    FAIL() << "a version-1 archive was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unsupported archive version 1");
+  }
+}
+
+TEST(Archive, FailedSaveLeavesPreviousArchiveIntact) {
+  const std::string path = testing::TempDir() + "/vlm_archive_replace.bin";
+  const PeriodArchive saved = sample_archive();
+  save_archive(path, saved);
+
+  PeriodArchive inconsistent = sample_archive();
+  inconsistent.period = 43;  // reports still say period 42
+  EXPECT_THROW(save_archive(path, inconsistent), std::invalid_argument);
+
+  expect_same_archive(load_archive(path), saved);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(Archive, MissingFilesThrow) {
