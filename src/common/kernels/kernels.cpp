@@ -4,8 +4,10 @@
 #include "common/kernels/kernels.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 
-#include "common/env_override.h"
 #include "common/require.h"
 
 namespace vlm::common::kernels {
@@ -40,30 +42,41 @@ const KernelTable* compiled_table(Isa isa) {
   return nullptr;
 }
 
+// The ISA VLM_KERNELS pins, matched exactly. Unset, empty and "auto"
+// pin nothing; so does an unrecognized value, after a stderr warning.
+std::optional<Isa> requested_isa() {
+  const char* text = std::getenv("VLM_KERNELS");
+  if (text == nullptr || *text == '\0' || std::strcmp(text, "auto") == 0) {
+    return std::nullopt;
+  }
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (std::strcmp(text, isa_name(isa)) == 0) return isa;
+  }
+  std::fprintf(stderr,
+               "vlm: warning: VLM_KERNELS='%s' is not one of "
+               "scalar|avx2|avx512|auto; keeping the default\n",
+               text);
+  return std::nullopt;
+}
+
+// Runs once, under active()'s magic static, so the warnings above and
+// below print at most once per process.
 const KernelTable& select_active() {
   Isa chosen = Isa::kScalar;
   if (available(Isa::kAvx2)) chosen = Isa::kAvx2;
   if (available(Isa::kAvx512)) chosen = Isa::kAvx512;
-  // "auto" maps to the unset sentinel: both keep the best available ISA.
-  static constexpr common::EnvEnumChoice kChoices[] = {
-      {"scalar", static_cast<int>(Isa::kScalar)},
-      {"avx2", static_cast<int>(Isa::kAvx2)},
-      {"avx512", static_cast<int>(Isa::kAvx512)},
-      {"auto", -1}};
-  const int parsed = common::parse_env_enum("VLM_KERNELS", kChoices, -1);
-  if (parsed >= 0) {
-    const Isa requested = static_cast<Isa>(parsed);
-    if (available(requested)) {
-      chosen = requested;
+  if (const std::optional<Isa> requested = requested_isa()) {
+    if (available(*requested)) {
+      chosen = *requested;
     } else {
       // Fall back instead of crashing so one exported value works
       // across a heterogeneous CI fleet.
       std::fprintf(stderr,
                    "vlm: warning: VLM_KERNELS=%s is unavailable on this host "
                    "(%s); using %s\n",
-                   isa_name(requested),
-                   compiled(requested) ? "CPU lacks the feature"
-                                       : "variant not compiled in",
+                   isa_name(*requested),
+                   compiled(*requested) ? "CPU lacks the feature"
+                                        : "variant not compiled in",
                    isa_name(chosen));
     }
   }

@@ -59,10 +59,6 @@ void CentralServer::register_rsu(core::RsuId id,
   history_[id] = initial_history_volume;
 }
 
-bool CentralServer::is_registered(core::RsuId id) const {
-  return history_.find(id) != history_.end();
-}
-
 double CentralServer::history_volume(core::RsuId id) const {
   auto it = history_.find(id);
   VLM_REQUIRE(it != history_.end(), "RSU not registered");

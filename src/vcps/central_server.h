@@ -85,7 +85,6 @@ class CentralServer {
   // past data, as the paper assumes). Must precede any sizing query.
   void register_rsu(core::RsuId id, double initial_history_volume);
 
-  bool is_registered(core::RsuId id) const;
   double history_volume(core::RsuId id) const;
 
   // m_x for the upcoming period under the configured scheme.

@@ -14,7 +14,6 @@
 #include "core/encoder.h"
 #include "core/estimator.h"
 #include "core/interval.h"
-#include "core/load_factor.h"
 #include "core/multi_period.h"
 #include "core/od_matrix.h"
 #include "core/privacy_model.h"
@@ -24,4 +23,3 @@
 #include "core/sizing.h"
 #include "core/triple_estimator.h"
 #include "core/types.h"
-#include "core/union_estimator.h"

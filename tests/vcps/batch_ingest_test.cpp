@@ -231,6 +231,8 @@ TEST(BatchIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
   for (const unsigned workers : {1u, 2u, 4u, 7u}) {
     const auto engine = run_engine({}, workload, sites, workers);
     expect_reports_identical(*serial, *engine);
+    EXPECT_EQ(engine->vehicles_driven(), serial->vehicles_driven())
+        << "workers " << workers;
   }
 }
 

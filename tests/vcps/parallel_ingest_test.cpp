@@ -117,31 +117,6 @@ TEST(ParallelIngest, ReportsBitIdenticalAcrossWorkerCountsLossyChannel) {
   }
 }
 
-TEST(ParallelIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
-  // The loss-free channel consumes no randomness on either path, so the
-  // batch engine must land exactly the serial loop's bits and counters.
-  traffic::MultiRsuWorkload workload(workload_config());
-  const std::vector<RsuSite> sites = sites_for(workload);
-
-  auto serial = std::make_unique<VcpsSimulation>(sim_config({}), sites);
-  serial->begin_period();
-  common::VisitedMask visited(kRsus);
-  std::vector<std::uint32_t> rsus;
-  std::vector<std::size_t> positions;
-  for (std::uint64_t v = 0; v < kVehicles; ++v) {
-    workload.itinerary(v, visited, rsus);
-    positions.assign(rsus.begin(), rsus.end());
-    serial->drive_vehicle(positions);
-  }
-  serial->end_period();
-
-  for (const unsigned workers : {1u, 4u}) {
-    const auto sharded = run_sharded({}, workload, sites, workers);
-    expect_reports_identical(*serial, *sharded);
-    EXPECT_EQ(sharded->vehicles_driven(), serial->vehicles_driven());
-  }
-}
-
 TEST(ParallelIngest, ContinuesVehicleNumberingAcrossBatches) {
   // Two half-size batches must equal one full batch: the engine numbers
   // vehicles from the simulation's running counter, not from zero.

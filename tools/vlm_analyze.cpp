@@ -86,22 +86,24 @@ int main(int argc, char** argv) {
   parser.add_string("trace", "",
                     "write a Chrome Trace Event JSON flight-recorder timeline "
                     "here (VLM_TRACE when empty)");
-  if (!parser.parse(argc, argv)) return 0;
-
-  // Resolve export destinations before any fallible work: a bad flag or
-  // unreadable archive must still flush the metrics measured so far (the
-  // guard's plain snapshot) instead of silently skipping --metrics.
-  const obs::ExportConfig metrics_config = obs::resolve_export_config(
-      parser.get_string("metrics"), parser.get_string("metrics-format"));
-  obs::MetricsExportGuard metrics_guard(metrics_config);
-  const std::string trace_path =
-      obs::trace::resolve_trace_path(parser.get_string("trace"));
-  if (!trace_path.empty()) {
-    obs::trace::set_thread_name("main");
-    obs::trace::set_enabled(true);
-  }
-
+  // The catch below flushes the flight recorder to this path; it stays
+  // empty until the flags parse.
+  std::string trace_path;
   try {
+    if (!parser.parse(argc, argv)) return 0;
+
+    // Resolve export destinations before any fallible work: a bad flag or
+    // unreadable archive must still flush the metrics measured so far (the
+    // guard's plain snapshot) instead of silently skipping --metrics.
+    const obs::ExportConfig metrics_config = obs::resolve_export_config(
+        parser.get_string("metrics"), parser.get_string("metrics-format"));
+    obs::MetricsExportGuard metrics_guard(metrics_config);
+    trace_path = obs::trace::resolve_trace_path(parser.get_string("trace"));
+    if (!trace_path.empty()) {
+      obs::trace::set_thread_name("main");
+      obs::trace::set_enabled(true);
+    }
+
     // Split --in on commas: one or more period archives.
     std::vector<std::string> paths;
     {

@@ -155,23 +155,25 @@ int main(int argc, char** argv) {
   parser.add_string("trace", "",
                     "write a Chrome Trace Event JSON flight-recorder timeline "
                     "here (VLM_TRACE when empty)");
-  if (!parser.parse(argc, argv)) return 0;
-
-  // Export destinations resolve before any fallible work so a run that
-  // dies partway (bad flag value, unwritable archive) still flushes what
-  // it measured: the guard writes a plain registry snapshot unless the
-  // success path disarms it after the rich per-period write.
-  const obs::ExportConfig metrics_config = obs::resolve_export_config(
-      parser.get_string("metrics"), parser.get_string("metrics-format"));
-  obs::MetricsExportGuard metrics_guard(metrics_config);
-  const std::string trace_path =
-      obs::trace::resolve_trace_path(parser.get_string("trace"));
-  if (!trace_path.empty()) {
-    obs::trace::set_thread_name("main");
-    obs::trace::set_enabled(true);
-  }
-
+  // The catch below flushes the flight recorder to this path; it stays
+  // empty until the flags parse.
+  std::string trace_path;
   try {
+    if (!parser.parse(argc, argv)) return 0;
+
+    // Export destinations resolve before any fallible work so a run that
+    // dies partway (bad flag value, unwritable archive) still flushes what
+    // it measured: the guard writes a plain registry snapshot unless the
+    // success path disarms it after the rich per-period write.
+    const obs::ExportConfig metrics_config = obs::resolve_export_config(
+        parser.get_string("metrics"), parser.get_string("metrics-format"));
+    obs::MetricsExportGuard metrics_guard(metrics_config);
+    trace_path = obs::trace::resolve_trace_path(parser.get_string("trace"));
+    if (!trace_path.empty()) {
+      obs::trace::set_thread_name("main");
+      obs::trace::set_enabled(true);
+    }
+
     const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
     vcps::SimulationConfig config;
     config.seed = seed;
