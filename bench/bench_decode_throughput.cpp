@@ -1,5 +1,6 @@
 // Decode-throughput bench: the seed's serial materializing decode vs the
-// cache-blocked batch decode, on a 64-RSU workload at m = 2^22.
+// batch decode, on a 64-RSU workload at m = 2^22 and on a Zipf-sized
+// fleet.
 //
 //   $ bench_decode_throughput                  # full-size run, JSON out
 //   $ bench_decode_throughput --m-exp 14 --rsus 6 --repeat 1   # smoke
@@ -24,12 +25,20 @@
 //     sweep, with two accuracy gates — "pruned_no_dropped_pairs" (no
 //     skipped pair's exact estimate exceeds the volume floor) and
 //     "pruned_survivors_bit_identical" (every surviving cell equals the
-//     blocked cell bit for bit).
+//     blocked cell bit for bit);
+//   - a "zipf" section on a fleet sized like the e2ebench zipf-city
+//     workload (MultiRsuWorkload popularity, VLM sizing at f̄ = 8, so
+//     array sizes spread over two orders of magnitude and a third or
+//     more of the pairs take the fold-plane sweep): naive vs batch
+//     decode, gated by
+//     "zipf_bit_identical_to_naive" (serial and parallel);
+//   - "host": core count, kernel ISA, build type and compiler.
 // Exit status is 0 only if every identity/accuracy assertion held (and,
 // with --min-speedup, the pruned wall-time speedup met the bar).
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -38,14 +47,22 @@
 #include "common/bit_array.h"
 #include "common/cli.h"
 #include "common/hashing.h"
+#include "common/kernels/kernels.h"
 #include "common/parallel.h"
+#include "core/encoder.h"
 #include "core/interval.h"
 #include "core/od_matrix.h"
 #include "core/rsu_state.h"
+#include "core/sizing.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "traffic/multi_rsu_workload.h"
+
+#ifndef VLM_BUILD_TYPE
+#define VLM_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -142,6 +159,50 @@ bool matches_naive(std::span<const core::EstimateInterval> reference,
   return p == reference.size();
 }
 
+// A fleet sized like the e2ebench zipf-city workload: MultiRsuWorkload
+// itineraries (Zipf popularity, 2..6 visits per trip), each RSU's array
+// sized by the VLM rule at f̄ = 8 from its true volume, and every visit
+// recorded through the vehicle-side encoder.
+std::vector<core::RsuState> zipf_fleet(std::size_t rsus,
+                                       std::uint64_t vehicles) {
+  traffic::MultiRsuConfig config;
+  config.rsu_count = rsus;
+  config.vehicle_count = vehicles;
+  config.max_visits = static_cast<std::uint32_t>(
+      std::min<std::size_t>(config.max_visits, rsus));
+  config.min_visits = std::min(config.min_visits, config.max_visits);
+  traffic::MultiRsuWorkload workload(config);
+  workload.for_each_vehicle(
+      [](std::uint64_t, std::span<const std::uint32_t>) {});
+  const core::VlmSizingPolicy sizing(8.0);
+  std::vector<core::RsuState> states;
+  std::vector<std::size_t> sizes;
+  for (const std::uint64_t volume : workload.node_volumes()) {
+    sizes.push_back(sizing.array_size_for(static_cast<double>(volume)));
+    states.emplace_back(sizes.back());
+  }
+  const core::Encoder encoder(core::EncoderConfig{});
+  workload.for_each_vehicle(
+      [&](std::uint64_t v, std::span<const std::uint32_t> visits) {
+        core::VehicleIdentity vehicle;
+        vehicle.id = core::VehicleId{common::mix64(v + 1)};
+        vehicle.private_key = common::mix64(~v);
+        for (const std::uint32_t r : visits) {
+          states[r].record(
+              encoder.bit_index(vehicle, core::RsuId{r + 1}, sizes[r]));
+        }
+      });
+  return states;
+}
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
 core::OdMatrix decode(std::span<const core::RsuState> states,
                       unsigned workers, std::size_t tile_words,
                       core::DecodeStats* stats) {
@@ -179,6 +240,11 @@ int main(int argc, char** argv) {
   parser.add_double("min-speedup", 0.0,
                     "fail unless blocked/pruned wall ratio >= this "
                     "(0 = report only)");
+  parser.add_int("zipf-rsus", 256,
+                 "Zipf-sized section deployment size (0 = skip)");
+  parser.add_int("zipf-vehicles", 500000,
+                 "Zipf-sized section vehicles (zipf-city's per-RSU "
+                 "density at the default size)");
   if (!parser.parse(argc, argv)) return 0;
 
   const auto k = static_cast<std::size_t>(parser.get_int("rsus"));
@@ -371,6 +437,62 @@ int main(int argc, char** argv) {
   const double min_speedup = parser.get_double("min-speedup");
   const bool speedup_ok = min_speedup <= 0.0 || pruned_speedup >= min_speedup;
 
+  // Zipf-sized section: the skewed-size fleet where most pairs take the
+  // fold-plane sweep, checked cell by cell against the naive decode.
+  const auto zipf_rsus = static_cast<std::size_t>(
+      std::max<std::int64_t>(0, parser.get_int("zipf-rsus")));
+  const auto zipf_vehicles = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(0, parser.get_int("zipf-vehicles")));
+  bool zipf_identical = true;
+  if (zipf_rsus >= 2) {
+    const std::vector<core::RsuState> fleet =
+        zipf_fleet(zipf_rsus, zipf_vehicles);
+    std::size_t min_words = SIZE_MAX, max_words = 0, skewed_pairs = 0;
+    for (std::size_t a = 0; a < fleet.size(); ++a) {
+      const std::size_t words = fleet[a].bits().words().size();
+      min_words = std::min(min_words, words);
+      max_words = std::max(max_words, words);
+      for (std::size_t b = a + 1; b < fleet.size(); ++b) {
+        const std::size_t lo =
+            std::min(fleet[a].array_size(), fleet[b].array_size());
+        const std::size_t hi =
+            std::max(fleet[a].array_size(), fleet[b].array_size());
+        if (hi / lo >= 4) ++skewed_pairs;
+      }
+    }
+    const obs::Stopwatch tn;
+    const std::vector<core::EstimateInterval> reference =
+        naive_decode(fleet, interval, estimator);
+    const double zipf_naive = tn.seconds();
+    double zipf_serial_best = 1e300, zipf_parallel_best = 1e300;
+    core::DecodeStats zipf_stats;
+    for (int rep = 0; rep < repeat; ++rep) {
+      const obs::Stopwatch ts;
+      const core::OdMatrix serial = decode(fleet, 1, tile_words, nullptr);
+      zipf_serial_best = std::min(zipf_serial_best, ts.seconds());
+      const obs::Stopwatch tp;
+      const core::OdMatrix parallel =
+          decode(fleet, workers, tile_words, &zipf_stats);
+      zipf_parallel_best = std::min(zipf_parallel_best, tp.seconds());
+      zipf_identical = zipf_identical && matches_naive(reference, serial) &&
+                       matches_naive(reference, parallel);
+    }
+    char zipf_json[768];
+    std::snprintf(
+        zipf_json, sizeof zipf_json,
+        ",\n \"zipf\": {\"rsus\": %zu, \"vehicles\": %llu, \"pairs\": %zu, "
+        "\"min_words\": %zu, \"max_words\": %zu, \"skewed_pairs\": %zu,\n"
+        "  \"naive_serial_seconds\": %.6f, \"blocked_serial_seconds\": %.6f, "
+        "\"blocked_parallel_seconds\": %.6f,\n"
+        "  \"speedup_blocked_over_naive\": %.2f, \"words_scanned\": %zu},\n"
+        " \"zipf_bit_identical_to_naive\": %s",
+        zipf_rsus, static_cast<unsigned long long>(zipf_vehicles),
+        reference.size(), min_words, max_words, skewed_pairs, zipf_naive,
+        zipf_serial_best, zipf_parallel_best, zipf_naive / zipf_serial_best,
+        zipf_stats.words_scanned, zipf_identical ? "true" : "false");
+    sweep_json += zipf_json;
+  }
+
   // Estimator-health telemetry over the main fleet and its decoded
   // matrix: the synthetic states sit at load factor ~8, so this tracks
   // the accuracy model's predicted relative error at the paper's
@@ -406,6 +528,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "{\"rsus\": %zu, \"m\": %zu, \"pairs\": %zu, \"workers\": %u,\n"
+      " \"host\": {\"nproc\": %u, \"kernel_isa\": \"%s\", "
+      "\"build_type\": \"%s\", \"compiler\": \"%s\"},\n"
       " \"kernel_isa\": \"%s\",\n"
       " \"tile_words\": %zu,\n"
       " \"dram_passes_saved\": %zu,\n"
@@ -425,7 +549,8 @@ int main(int argc, char** argv) {
       "\"predicted_rel_err_max\": %.4f, \"predicted_rel_err_mean\": %.4f},\n"
       " \"metrics\": %s}\n",
       k, m, blocked_serial_stats.pairs_decoded, blocked_parallel_stats.workers,
-      blocked_parallel_stats.kernel_isa, blocked_serial_stats.tile_words,
+      common::default_worker_count(), common::kernels::active_name(),
+      VLM_BUILD_TYPE, kCompiler, blocked_parallel_stats.kernel_isa, blocked_serial_stats.tile_words,
       blocked_serial_stats.dram_passes_saved, naive_best, blocked_serial_best,
       blocked_parallel_best, naive_best / blocked_serial_best,
       blocked_serial_best > 0.0
@@ -445,7 +570,8 @@ int main(int argc, char** argv) {
       health_summary.mean_predicted_rel_err,
       obs::to_json(obs::MetricsRegistry::global().snapshot(), {}, 2).c_str());
   return blocked_identical && parallel_identical && sweep_identical &&
-                 pruned_no_dropped && pruned_survivors_identical && speedup_ok
+                 pruned_no_dropped && pruned_survivors_identical &&
+                 zipf_identical && speedup_ok
              ? 0
              : 1;
 }

@@ -154,45 +154,65 @@ namespace kernels {
 struct KernelTable;
 }  // namespace kernels
 
-// Options for the cache-blocked batch decode below.
+// Options for the batch decode below.
 struct BatchDecodeOptions {
-  // Anchor-tile size in 64-bit words; 0 picks a power of two sized so
-  // that one tile of every array together fits comfortably in L2 (the
-  // classic GEMM blocking budget). Any positive value is correct — the
-  // tiling never changes the counts, only the cache behavior.
+  // Anchor-tile size in 64-bit words for the tiled sweep (pairs with
+  // size ratio r <= 2); 0 picks a power of two sized so that one tile of
+  // every array together fits comfortably in L2 (the classic GEMM
+  // blocking budget). Any positive value is correct — the tiling never
+  // changes the counts, only the cache behavior.
   std::size_t tile_words = 0;
-  // Threads the tile range is spread over (0 = one per core, 1 = serial).
-  // Every worker accumulates into its own per-pair slots and the partials
-  // are summed in a fixed order, so the counts are bit-identical for any
-  // worker count and any tile size.
+  // Threads the work is spread over (0 = one per core, 1 = serial).
+  // Every worker accumulates exact integer partials into its own
+  // per-pair slots and the partials are summed afterwards, so the counts
+  // are bit-identical for any worker count and any tile size.
   unsigned workers = 1;
-  // Kernel variant to run the tile sweeps on; nullptr = kernels::active().
+  // Kernel variant to run the sweeps on; nullptr = kernels::active().
   // The differential fuzz suite uses this to pin each compiled ISA.
   const kernels::KernelTable* table = nullptr;
 };
 
 // Observability for one joint_zero_counts_batch call.
 struct BatchDecodeStats {
-  std::size_t tile_words = 0;  // tile size actually used
-  std::size_t tiles = 0;       // tiles in the sweep (over the largest array)
-  // Full-array loads the per-pair path would have done minus the one load
-  // per array the tile sweep does: for each array, (pairs touching it) −
-  // 1. The DRAM-traffic reduction the blocking buys.
+  std::size_t tile_words = 0;  // tiled-sweep tile size (0: no tiled pair)
+  std::size_t tiles = 0;       // tiles over the largest tiled anchor
+  // Full-array loads a per-pair decode would do (two per pair) minus the
+  // loads this call does: one per array in the tiled sweep, one per
+  // folded anchor, one per folded partner. The DRAM-traffic reduction.
   std::size_t dram_passes_saved = 0;
-  // Pairs routed through the sub-word materializing fallback instead of
-  // the tile sweep (arrays below one word, from the sizing floor).
+  // Pairs routed through the sub-word materializing fallback (arrays
+  // below one word, from the sizing floor).
   std::size_t fallback_pairs = 0;
+  // Pairs the fold-plane sweep measured (power-of-two ratio r >= 4), and
+  // the anchor words its plane builds read (each folded anchor once).
+  std::size_t fold_pairs = 0;
+  std::size_t fold_anchor_words = 0;
 };
 
 // Batch decode: JointZeroCounts for EVERY unordered pair of `arrays`, in
 // upper-triangle row-major order ((0,1), (0,2), ..., (1,2), ...) — the
-// K-RSU form of joint_zero_counts, bit-identical to calling it per pair
-// but with O(K·m) DRAM traffic per tile sweep instead of O(K²·m): the
-// word range is partitioned into tiles, and each tile is combined with
-// every partner while it is cache-hot (per-pair OR+popcount partials land
-// in deterministic accumulator slots). Pairs whose smaller array is below
-// one word fall back to the per-pair kernel. Size-incompatibility throws
-// exactly as joint_zero_counts does, before any counting starts.
+// K-RSU form of joint_zero_counts, with identical zero counts. Pairs are
+// grouped by anchor (the larger array) and measured by one of two exact
+// sweeps, chosen by the size ratio r = m_large / m_small:
+//   - r <= 2 (and any ratio that is not a power of two): the tiled
+//     sweep. The word range is cut into L2-sized tiles and each tile of
+//     every anchor is ORed+popcounted against its partners while it is
+//     cache-hot, so each array is loaded once per sweep, not once per
+//     pair.
+//   - r >= 4, a power of two: the fold-plane sweep. The anchor is folded
+//     down to the partner's period as bit-sliced count planes (the ones
+//     count of every bit position over the r unfolded copies), and
+//     ones(L | S^r) = Σ_p 2^p·or_popcount(P_p, S) − (r − 1)·ones(S)
+//     (docs/DERIVATIONS.md). One plane build per anchor serves all its
+//     partners, and each partner is read once, in log2(r) + 1 plane
+//     passes instead of r copies.
+// Both sweeps sum exact integer partials, so the result never depends
+// on tiling, chunking or worker count. Pairs whose smaller array is below
+// one word fall back to the per-pair kernel. `words_scanned` of a folded
+// pair is its plane words plus its partner words, (log2(r) + 2)·n_small;
+// every other pair reports what joint_zero_counts does. Size
+// incompatibility throws exactly as joint_zero_counts does, before any
+// counting starts.
 std::vector<JointZeroCounts> joint_zero_counts_batch(
     std::span<const BitArray* const> arrays,
     const BatchDecodeOptions& options = {},
@@ -200,16 +220,25 @@ std::vector<JointZeroCounts> joint_zero_counts_batch(
 
 // Pair-list form: JointZeroCounts for exactly the given (first, second)
 // index pairs into `arrays`, in the order given — the sweep the pruned
-// decode mode runs over its survivor list. Each entry is computed
-// exactly as joint_zero_counts(*arrays[first], *arrays[second]); anchor
-// groups keep contiguous accumulator-slot runs and integer partials sum
-// in a fixed order, so any subset's counts are bit-identical to the
-// corresponding entries of the all-pairs call (which delegates here).
-// Pairs may be empty; indices must be in range and distinct.
+// decode mode runs over its survivor list. Each entry's zero counts equal
+// joint_zero_counts(*arrays[first], *arrays[second]), so any subset's
+// counts are bit-identical to the corresponding entries of the all-pairs
+// call (which delegates here). Pairs may be empty; indices must be in
+// range and distinct.
 std::vector<JointZeroCounts> joint_zero_counts_batch(
     std::span<const BitArray* const> arrays,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
     const BatchDecodeOptions& options = {},
     BatchDecodeStats* stats = nullptr);
+
+// Window width, in words, of the fold-plane sweep over an anchor of
+// `anchor_words` words whose folded partners' periods run from
+// `longest_period` down to `shortest_period` words (each anchor_words / r
+// for a power-of-two r >= 4): the longest period, halved until the
+// sweep's plane scratch fits its fixed per-worker budget (256 KiB), so a
+// long anchor is folded window by window instead of whole.
+std::size_t fold_window_words(std::size_t anchor_words,
+                              std::size_t longest_period,
+                              std::size_t shortest_period);
 
 }  // namespace vlm::common

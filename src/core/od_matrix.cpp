@@ -295,9 +295,9 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
 
   std::vector<std::size_t> words_per_pair(pairs.size(), 0);
   std::vector<std::uint8_t> pair_saturated(pairs.size(), 0);
-  // Measure the pair list's zero counts with the cache-blocked batch
-  // sweep, then map them through the Eq. 5 / interval math of
-  // IntervalEstimator::estimate. Both stages are deterministic, so so is
+  // Measure the pair list's zero counts with the batch sweep (tiled for
+  // r <= 2, fold-plane for r >= 4), then map them through the Eq. 5 /
+  // interval math of IntervalEstimator::estimate. Both stages are deterministic, so so is
   // the composition — and because the batch sweep's integer partials are
   // exact for any pair subset, a survivor's counts (and therefore its
   // estimate) are bit-identical to the unpruned decode.
@@ -331,8 +331,9 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   // Registry and struct are fed from the same values: DecodeStats is the
   // per-run view of what this call just added to the global counters.
   const std::size_t words_scanned =
-      prune_words + std::accumulate(words_per_pair.begin(),
-                                    words_per_pair.end(), std::size_t{0});
+      prune_words + batch_stats.fold_anchor_words +
+      std::accumulate(words_per_pair.begin(), words_per_pair.end(),
+                      std::size_t{0});
   const std::size_t pairs_saturated = static_cast<std::size_t>(
       std::accumulate(pair_saturated.begin(), pair_saturated.end(),
                       std::size_t{0}));

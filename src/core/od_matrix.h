@@ -3,15 +3,17 @@
 // The paper estimates one pair at a time; a transportation study wants
 // the whole K×K point-to-point matrix. Two decode paths produce it:
 //
-//   - blocked (the default): the GEMM-style cache-blocked batch decode —
-//     the word range is tiled, and each cache-hot tile is combined with
-//     every partner before moving on, cutting DRAM traffic from
-//     O(K² m_max / 64) words (every array re-read K−1 times by a per-pair
-//     decode) to O(K m_max / 64) per tile sweep. The arithmetic is the
-//     same integer popcounts landing in deterministic accumulator slots,
-//     so every cell is bit-identical to the per-pair
-//     IntervalEstimator::estimate for every worker count and tile size
-//     (tests and a differential fuzz suite assert this).
+//   - blocked (the default): common::joint_zero_counts_batch. Pairs of
+//     near-equal size (r <= 2) take the GEMM-style tiled sweep: each
+//     cache-hot tile is combined with every partner before moving on,
+//     cutting DRAM traffic from O(K² m_max / 64) words (every array
+//     re-read K−1 times by a per-pair decode) to O(K m_max / 64). Pairs
+//     of skewed size (r >= 4) take the fold-plane sweep: the anchor is
+//     folded to each partner's period once, and each partner is read
+//     against log2(r) + 1 count planes instead of r unfolded copies.
+//     Both sum exact integer popcounts, so every cell is bit-identical
+//     to the per-pair IntervalEstimator::estimate for every worker count
+//     and tile size (tests and a differential fuzz suite assert this).
 //   - pruned (opt-in): a cheap strided-sample union estimate per pair
 //     first; pairs whose upper-bounded overlap stays at or below
 //     PruneOptions::min_volume are skipped, and the exact blocked sweep
@@ -73,7 +75,10 @@ struct DecodeStats {
   // — the estimate is a saturation floor, not a measurement). Health
   // telemetry counts these as `decode/pairs_saturated`.
   std::size_t pairs_saturated = 0;
-  std::size_t words_scanned = 0;  // 64-bit words the fused kernels touched
+  // 64-bit words the decode read: sampled words (pruned path), anchor
+  // plus partner words per tiled pair, plane plus partner words per
+  // folded pair, and each folded anchor once for its plane build.
+  std::size_t words_scanned = 0;
   unsigned workers = 1;           // threads the work was spread over
   double wall_seconds = 0.0;
   // ISA the kernel dispatch selected for the sweeps ("scalar", "avx2",
@@ -82,9 +87,9 @@ struct DecodeStats {
   // Decode path taken ("blocked", or "pruned" under DecodeMode::kPruned)
   // — a static string, never freed.
   const char* path = "blocked";
-  // Anchor-tile size in 64-bit words (0 when every pair took the
-  // sub-word fallback) and the full-array DRAM loads the tiling avoided
-  // versus a per-pair decode.
+  // Tiled-sweep tile size in 64-bit words (0 when no pair took the tiled
+  // sweep) and the full-array DRAM loads the batch sweep avoided versus
+  // a per-pair decode (common::BatchDecodeStats).
   std::size_t tile_words = 0;
   std::size_t dram_passes_saved = 0;
   // Pruned path only (0 elsewhere): pairs the sampled-union stage

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
 
-#include "core/accuracy_model.h"
 #include "obs/metrics.h"
 
 namespace vlm::obs::health {
@@ -127,7 +125,8 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
 }
 
 void assess_pairs(std::span<const core::RsuState> states,
-                  const core::OdMatrix& matrix, const HealthOptions& options,
+                  const core::OdMatrix& matrix,
+                  const HealthOptions& /*options*/,
                   HealthSummary& summary) {
   PairGroup& metrics = pair_group();
   const std::size_t k = matrix.rsu_count();
@@ -136,31 +135,15 @@ void assess_pairs(std::span<const core::RsuState> states,
     for (std::size_t b = a + 1; b < k; ++b) {
       if (!matrix.measured(a, b)) continue;
       const core::EstimateInterval& cell = matrix.at(a, b);
-      const double n_x = static_cast<double>(states[a].counter());
-      const double n_y = static_cast<double>(states[b].counter());
-      const double n_min = std::min(n_x, n_y);
-      if (cell.degraded || cell.n_c_hat <= 0.0 || n_min <= 0.0) {
+      if (cell.degraded || cell.n_c_hat <= 0.0 || states[a].counter() == 0 ||
+          states[b].counter() == 0) {
         ++summary.pairs_degraded;
         continue;
       }
-      core::PairScenario scenario;
-      scenario.n_x = n_x;
-      scenario.n_y = n_y;
-      // The raw MLE can exceed min(n_x, n_y) by sampling noise; the
-      // model's domain requires n_c <= min, so evaluate at the boundary.
-      scenario.n_c = std::min(cell.n_c_hat, n_min);
-      scenario.m_x = states[a].array_size();
-      scenario.m_y = states[b].array_size();
-      scenario.s = options.s;
-      double rel_err = 0.0;
-      try {
-        rel_err = core::AccuracyModel::predict(
-                      scenario, core::VarianceModel::kPaperBinomial)
-                      .stddev_ratio;
-      } catch (const std::invalid_argument&) {
-        ++summary.pairs_degraded;
-        continue;
-      }
+      // The decoded cell already carries the occupancy-exact stddev the
+      // interval estimator computed; its ratio to the estimate is the
+      // predicted relative error.
+      const double rel_err = cell.stddev / cell.n_c_hat;
       if (!std::isfinite(rel_err)) {
         ++summary.pairs_degraded;
         continue;

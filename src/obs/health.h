@@ -9,9 +9,10 @@
 // (m = 2^ceil(log2(n̄·f̄)), src/core/sizing.*) operates outside the
 // regime the paper's Section V accuracy model was budgeted for. This
 // module evaluates both conditions at every period close and decode,
-// plus the accuracy model's predicted relative error per decoded pair
-// (Eq. 34 variance / Eq. 36 stddev ratio), and publishes them as
-// health/* metrics through the standard exporters:
+// plus each decoded pair's predicted relative error — the cell's own
+// occupancy-exact interval stddev over its estimate, the one error model
+// the decode uses — and publishes them as health/* metrics through the
+// standard exporters:
 //
 //   health/rsu_saturated        counter  RSU-periods with fill above
 //                                        the saturation threshold
@@ -24,17 +25,17 @@
 //   health/predicted_rel_err    histogram (micro) per-pair predicted
 //                                        relative error (decode only)
 //   health/predicted_rel_err_max gauge   worst predicted pair rel err
-//   health/pairs_assessed       counter  pairs run through the model
+//   health/pairs_assessed       counter  pairs given a predicted error
 //   health/pairs_degraded       counter  pairs skipped: saturated /
-//                                        zero-volume / model rejected
+//                                        zero-volume / non-finite ratio
 //
 // The period-close metrics and the decode metrics register lazily as
 // two independent groups: a simulate run that never decodes exports no
 // decode-only histograms (every exported histogram must have observations
 // — CI's span smoke asserts count > 0 across the board).
 //
-// Layering: this sits ABOVE vlm_core (it evaluates core::AccuracyModel
-// against live core::RsuState), so it is its own library target
+// Layering: this sits ABOVE vlm_core (it reads core::RsuState and the
+// decoded core::OdMatrix), so it is its own library target
 // (vlm_obs_health) rather than part of layer-free vlm_obs.
 #pragma once
 
@@ -64,7 +65,9 @@ struct HealthOptions {
   // 2× above target; the default band only fires on genuine demand
   // surprises, not rounding.
   double load_factor_drift_tolerance = 2.0;
-  // Logical bit-array size s for the accuracy model (VlmScheme's s).
+  // Logical bit-array size s of the scheme under assessment. No check
+  // reads it since assess_pairs takes each cell's own interval; callers
+  // still set it.
   std::uint32_t s = 64;
 };
 
@@ -109,11 +112,14 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
                           std::vector<RsuHealth>* out_per_rsu = nullptr);
 
 // Per-pair predicted relative error: for every measured pair of the
-// decoded matrix, evaluates the paper's Section V model
-// (VarianceModel::kPaperBinomial, Eq. 34/36) at the estimated overlap
-// and publishes the decode metric group. Pairs whose estimate is
-// degraded, zero, or outside the model's domain count as degraded and
-// are skipped. Extends `summary` in place.
+// decoded matrix, reads cell.stddev / cell.n_c_hat — the interval
+// estimator's occupancy-exact spread, which E7 validated, rather than
+// the paper's binomial model (VarianceModel::kPaperBinomial), which E7
+// showed over-predicts it 3–21× — and publishes the decode metric group.
+// Pairs whose estimate is degraded or zero, or whose endpoints saw no
+// vehicle, count as degraded and are skipped. No option changes the
+// pair pass; `options` keeps the call shape of assess_rsus. Extends
+// `summary` in place.
 void assess_pairs(std::span<const core::RsuState> states,
                   const core::OdMatrix& matrix, const HealthOptions& options,
                   HealthSummary& summary);

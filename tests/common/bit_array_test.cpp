@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "common/hashing.h"
 
 namespace vlm::common {
 namespace {
@@ -476,7 +481,25 @@ TEST(BitArraySerialization, ToBytesMatchesPerBitExtraction) {
   }
 }
 
-// --- Cache-blocked batch decode ---
+// --- Batch decode ---
+
+// words_scanned the batch decode reports for a pair: plane plus partner
+// words, (log2 r + 2)·n_small, for a folded pair (power-of-two r >= 4);
+// the per-pair kernel's count for every other pair.
+std::size_t batch_words(const JointZeroCounts& counts) {
+  const std::size_t ratio = counts.size_large / counts.size_small;
+  if (counts.size_small % 64 != 0 || ratio < 4 || !std::has_single_bit(ratio)) {
+    return counts.words_scanned;
+  }
+  return (static_cast<std::size_t>(std::countr_zero(ratio)) + 2) *
+         (counts.size_small / 64);
+}
+
+BitArray from_words(const std::vector<std::uint64_t>& words) {
+  std::vector<std::uint8_t> bytes(words.size() * sizeof(std::uint64_t));
+  std::memcpy(bytes.data(), words.data(), bytes.size());
+  return BitArray::from_bytes(words.size() * 64, bytes);
+}
 
 TEST(JointZeroCountsBatch, MatchesPerPairForEveryTileAndWorkerChoice) {
   std::vector<BitArray> arrays;
@@ -518,21 +541,26 @@ TEST(JointZeroCountsBatch, MatchesPerPairForEveryTileAndWorkerChoice) {
         EXPECT_EQ(got[p].zeros_small, expected[p].zeros_small);
         EXPECT_EQ(got[p].zeros_large, expected[p].zeros_large);
         EXPECT_EQ(got[p].zeros_or, expected[p].zeros_or);
-        EXPECT_EQ(got[p].words_scanned, expected[p].words_scanned);
+        EXPECT_EQ(got[p].words_scanned, batch_words(expected[p]));
       }
       EXPECT_GT(stats.tile_words, 0u);
       EXPECT_GT(stats.tiles, 0u);
       EXPECT_EQ(stats.fallback_pairs, 0u);
-      // 5 arrays × (4 pairs each − 1 load) saved passes.
-      EXPECT_EQ(stats.dram_passes_saved, 5u * 3u);
+      // The four 64-word vs 256-word pairs (r = 4) fold; the other six
+      // are tiled.
+      EXPECT_EQ(stats.fold_pairs, 4u);
+      EXPECT_EQ(stats.fold_anchor_words, 2u * 256u);
+      // Per-pair loads 2 × 10; the sweep loads the 5 tiled arrays, the 2
+      // folded anchors and the 4 folded partners once each.
+      EXPECT_EQ(stats.dram_passes_saved, 20u - (5u + 2u + 4u));
     }
   }
 }
 
 TEST(JointZeroCountsBatch, SubWordArraysUseTheFallback) {
   // One sub-word array among word-sized ones: its pairs must fall back
-  // to the materializing kernel and still match, and word-sized pairs
-  // must still take the tile sweep.
+  // to the materializing kernel and still match, and the word-sized pair
+  // (r = 4) must still take the fold-plane sweep.
   const BitArray tiny = patterned(16, 2, 1);
   const BitArray mid = patterned(256, 3, 0);
   const BitArray big = patterned(1024, 5, 2);
@@ -548,11 +576,147 @@ TEST(JointZeroCountsBatch, SubWordArraysUseTheFallback) {
   EXPECT_EQ(got[0].words_scanned, tm.words_scanned);
   EXPECT_EQ(got[1].zeros_or, tb.zeros_or);
   EXPECT_EQ(got[2].zeros_or, mb.zeros_or);
-  EXPECT_EQ(got[2].words_scanned, mb.words_scanned);
+  // Folded at r = 4: three 4-word planes plus the 4-word partner.
+  EXPECT_EQ(got[2].words_scanned, 16u);
   EXPECT_EQ(stats.fallback_pairs, 2u);
-  // Only the (mid, big) pair is tiled: neither array is reused, so no
+  EXPECT_EQ(stats.fold_pairs, 1u);
+  EXPECT_EQ(stats.tile_words, 0u);
+  // Only the (mid, big) pair is swept: neither array is reused, so no
   // DRAM pass is saved.
   EXPECT_EQ(stats.dram_passes_saved, 0u);
+}
+
+// --- Fold-plane sweep: known answers ---
+//
+// ones(L | S^r) = Σ_p 2^p·or_popcount(P_p, S) − (r − 1)·ones(S), with P_p
+// the bit-sliced planes of the per-bit ones count of L's r copies. These
+// hand-built pairs pin the identity, carries included, independently of
+// the per-pair kernel.
+
+TEST(FoldPlaneSweep, KnownAnswerAtRatioEight) {
+  // Copy c of the anchor has its low c bits set; the partner sets bits
+  // 4..7. ones(copy_c | S) = c + 4 for c <= 4 and 8 for c = 5, 6, 7, so
+  // ones = 4 + 5 + 6 + 7 + 8 + 8 + 8 + 8 = 54 of the 512 anchor bits.
+  std::vector<std::uint64_t> anchor_words;
+  for (std::uint64_t c = 0; c < 8; ++c) {
+    anchor_words.push_back((std::uint64_t{1} << c) - 1);
+  }
+  const BitArray anchor = from_words(anchor_words);
+  const BitArray partner = from_words({0xF0});
+  for (const unsigned workers : {1u, 3u}) {
+    BatchDecodeOptions options;
+    options.workers = workers;
+    const std::vector<const BitArray*> small_first{&partner, &anchor};
+    const std::vector<const BitArray*> large_first{&anchor, &partner};
+    for (const auto* order : {&small_first, &large_first}) {
+      BatchDecodeStats stats;
+      const std::vector<JointZeroCounts> got =
+          joint_zero_counts_batch(*order, options, &stats);
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0].zeros_or, 512u - 54u);
+      EXPECT_EQ(got[0].zeros_small, 60u);
+      EXPECT_EQ(got[0].zeros_large, 512u - 28u);
+      EXPECT_EQ(stats.fold_pairs, 1u);
+    }
+  }
+  EXPECT_EQ(joint_zero_counts(partner, anchor).zeros_or, 512u - 54u);
+}
+
+TEST(FoldPlaneSweep, KnownAnswerUnevenCountsAtRatioSixteen) {
+  // Copy c has its low t_c bits set, with the t_c out of order, so the
+  // per-bit counts #{c : t_c > i} differ from bit to bit and the plane
+  // adds carry into bits that are already set. Against an empty partner
+  // the OR has Σ t_c = 357 ones; against a partner holding bits 32..63
+  // it has Σ (32 + min(t_c, 32)) = 512 + 267 = 779.
+  const std::uint64_t t[] = {5, 64, 0, 17, 33, 1, 63, 2,
+                             40, 9, 12, 31, 50, 3, 7, 20};
+  std::vector<std::uint64_t> anchor_words;
+  for (const std::uint64_t bits : t) {
+    anchor_words.push_back(bits == 64 ? ~std::uint64_t{0}
+                                      : (std::uint64_t{1} << bits) - 1);
+  }
+  const BitArray anchor = from_words(anchor_words);
+  const BitArray empty = from_words({0});
+  const BitArray high = from_words({0xFFFFFFFF00000000ull});
+  const std::vector<const BitArray*> ptrs{&empty, &high, &anchor};
+  BatchDecodeStats stats;
+  const std::vector<JointZeroCounts> got =
+      joint_zero_counts_batch(ptrs, {}, &stats);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[1].zeros_or, 1024u - 357u);  // (empty, anchor)
+  EXPECT_EQ(got[2].zeros_or, 1024u - 779u);  // (high, anchor)
+  EXPECT_EQ(stats.fold_pairs, 2u);
+}
+
+TEST(FoldPlaneSweep, KnownAnswerCarriesThroughElevenPlanes) {
+  // r = 1024: the first 1000 copies are all ones, the last 24 all
+  // zeros, so every bit position counts 1000 = 0b1111101000 — eleven
+  // planes, built through nine levels of carries. A zero partner leaves
+  // ones = 1000 × 64; a full partner makes every bit of the OR one.
+  std::vector<std::uint64_t> anchor_words(1024, 0);
+  for (std::size_t c = 0; c < 1000; ++c) anchor_words[c] = ~std::uint64_t{0};
+  const BitArray anchor = from_words(anchor_words);
+  const BitArray zero = from_words({0});
+  const BitArray full = from_words({~std::uint64_t{0}});
+  const BitArray half = from_words({0x00000000FFFFFFFFull});
+  const std::vector<const BitArray*> ptrs{&zero, &full, &half, &anchor};
+  BatchDecodeStats stats;
+  const std::vector<JointZeroCounts> got =
+      joint_zero_counts_batch(ptrs, {}, &stats);
+  ASSERT_EQ(got.size(), 6u);
+  EXPECT_EQ(got[2].zeros_or, 65536u - 64000u);  // (zero, anchor)
+  EXPECT_EQ(got[4].zeros_or, 0u);               // (full, anchor)
+  // Half partner: its 32 set bits are one in every copy; the other 32
+  // count 1000 of 1024.
+  EXPECT_EQ(got[5].zeros_or, 65536u - (32u * 1024u + 32u * 1000u));
+  EXPECT_EQ(stats.fold_pairs, 3u);
+}
+
+TEST(FoldPlaneSweep, LongAnchorsFoldWindowByWindow) {
+  // A 2^16-word anchor with partners at r = 4 and r = 1024 is past the
+  // per-worker plane budget, so it is folded in windows narrower than
+  // its longest partner period: the window seams must not change a
+  // single count. A r = 2 partner and a sub-word array ride along.
+  ASSERT_LT(fold_window_words(std::size_t{1} << 16, std::size_t{1} << 14, 64),
+            std::size_t{1} << 14);
+  std::uint64_t h = 0x5EA3;
+  auto random_words = [&](std::size_t n, int density_shift) {
+    std::vector<std::uint64_t> words(n);
+    for (std::uint64_t& w : words) {
+      w = ~std::uint64_t{0};
+      for (int d = 0; d < density_shift; ++d) w &= mix64(++h);
+    }
+    return from_words(words);
+  };
+  std::vector<BitArray> arrays;
+  arrays.push_back(random_words(std::size_t{1} << 16, 3));
+  arrays.push_back(random_words(std::size_t{1} << 14, 1));
+  arrays.push_back(random_words(64, 2));
+  arrays.push_back(random_words(std::size_t{1} << 15, 2));
+  arrays.push_back(random_words(std::size_t{1} << 13, 4));
+  arrays.push_back(patterned(16, 3, 1));
+  std::vector<const BitArray*> ptrs;
+  for (const BitArray& a : arrays) ptrs.push_back(&a);
+  for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+    BatchDecodeOptions options;
+    options.workers = workers;
+    BatchDecodeStats stats;
+    const std::vector<JointZeroCounts> got =
+        joint_zero_counts_batch(ptrs, options, &stats);
+    std::size_t p = 0;
+    for (std::size_t a = 0; a < arrays.size(); ++a) {
+      for (std::size_t b = a + 1; b < arrays.size(); ++b, ++p) {
+        const JointZeroCounts expected = joint_zero_counts(arrays[a], arrays[b]);
+        EXPECT_EQ(got[p].zeros_or, expected.zeros_or)
+            << "workers=" << workers << " pair (" << a << "," << b << ")";
+        EXPECT_EQ(got[p].zeros_small, expected.zeros_small);
+        EXPECT_EQ(got[p].zeros_large, expected.zeros_large);
+      }
+    }
+    EXPECT_GT(stats.fold_pairs, 0u);
+    EXPECT_GT(stats.tile_words, 0u);
+    EXPECT_EQ(stats.fallback_pairs, 5u);
+  }
 }
 
 TEST(JointZeroCountsBatch, Guards) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "common/bit_array.h"
 #include "core/encoder.h"
 #include "core/pair_simulation.h"
 #include "core/scheme.h"
@@ -210,13 +212,28 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
 
   const IntervalEstimator oracle(2, 1.96);
   std::vector<EstimateInterval> pairwise;
-  std::size_t pairwise_words = 0;
+  // Words the batch sweep reads: anchor plus partner words per tiled
+  // pair (what the per-pair kernel reads), plane plus partner words per
+  // folded pair (power-of-two r >= 4), and each folded anchor once.
+  std::size_t sweep_words = 0;
+  std::vector<bool> folded_anchor(states.size(), false);
   for (std::size_t a = 0; a < states.size(); ++a) {
     for (std::size_t b = a + 1; b < states.size(); ++b) {
       PairEstimate point;
       pairwise.push_back(oracle.estimate(states[a], states[b], &point));
-      pairwise_words += point.words_scanned;
+      const std::size_t small = std::min(sizes[a], sizes[b]);
+      const std::size_t ratio = std::max(sizes[a], sizes[b]) / small;
+      if (ratio >= 4) {
+        sweep_words += (static_cast<std::size_t>(std::countr_zero(ratio)) + 2) *
+                       (small / 64);
+        folded_anchor[sizes[a] > sizes[b] ? a : b] = true;
+      } else {
+        sweep_words += point.words_scanned;
+      }
     }
+  }
+  for (std::size_t r = 0; r < states.size(); ++r) {
+    if (folded_anchor[r]) sweep_words += sizes[r] / 64;
   }
 
   for (const std::size_t tile_words : {std::size_t{1}, std::size_t{7},
@@ -243,11 +260,78 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
           EXPECT_EQ(pe.degraded, be.degraded);
         }
       }
-      // The decode accounting matches the per-pair oracle's as well.
       EXPECT_EQ(stats.pairs_decoded, pairwise.size());
-      EXPECT_EQ(stats.words_scanned, pairwise_words);
+      EXPECT_EQ(stats.words_scanned, sweep_words);
       EXPECT_GT(stats.tile_words, 0u);
       EXPECT_GT(stats.dram_passes_saved, 0u);
+    }
+  }
+}
+
+// Zipf-like skew: array sizes spread over ratios 1..1024, including a
+// 2^22-bit anchor long enough to be folded window by window and a
+// sub-word array. Both decode modes must reproduce the per-pair oracle
+// on every cell they measure, at every worker count.
+TEST(OdMatrix, SkewedSizesExactForAutoAndPrunedAtEveryWorkerCount) {
+  Encoder enc(EncoderConfig{});
+  const std::size_t sizes[] = {1 << 22, 1 << 12, 1 << 20, 1 << 16, 1 << 21,
+                               1 << 13, 32,      1 << 18, 1 << 12, 1 << 14};
+  std::vector<RsuState> states;
+  for (std::size_t m : sizes) states.emplace_back(m);
+  for (std::uint64_t i = 0; i < 60'000; ++i) {
+    VehicleIdentity v;
+    v.id = VehicleId{common::mix64((i + 7) * 0x9E3779B97F4A7C15ull)};
+    v.private_key = common::mix64((i + 7) * 0xC2B2AE3D27D4EB4Full);
+    for (std::size_t r = 0; r < states.size(); ++r) {
+      if (i % (r + 2) == 0 && (i / 7) % (r + 1) != 1) {
+        states[r].record(enc.bit_index(v, RsuId{r + 1}, sizes[r]));
+      }
+    }
+  }
+  // Load the big arrays to a realistic fill with local traffic.
+  std::uint64_t h = 0x5EED;
+  for (std::size_t r = 0; r < states.size(); ++r) {
+    for (std::size_t j = 0; j < sizes[r] / 16; ++j) {
+      states[r].record(static_cast<std::size_t>(common::mix64(++h) % sizes[r]));
+    }
+  }
+  ASSERT_LT(common::fold_window_words(std::size_t{1} << 16,
+                                      std::size_t{1} << 14, 64),
+            std::size_t{1} << 14);
+
+  const IntervalEstimator oracle(2, 1.96);
+  auto expect_cell = [](const EstimateInterval& want,
+                        const EstimateInterval& got) {
+    EXPECT_EQ(want.n_c_hat, got.n_c_hat);
+    EXPECT_EQ(want.stddev, got.stddev);
+    EXPECT_EQ(want.lower, got.lower);
+    EXPECT_EQ(want.upper, got.upper);
+    EXPECT_EQ(want.floor_stddev, got.floor_stddev);
+    EXPECT_EQ(want.degraded, got.degraded);
+  };
+  for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+    for (const DecodeMode mode : {DecodeMode::kAuto, DecodeMode::kPruned}) {
+      DecodeOptions options;
+      options.workers = workers;
+      options.mode = mode;
+      const OdMatrix matrix = estimate_od_matrix(states, 2, 1.96, options);
+      std::size_t measured = 0;
+      for (std::size_t a = 0; a < states.size(); ++a) {
+        for (std::size_t b = a + 1; b < states.size(); ++b) {
+          if (!matrix.measured(a, b)) continue;
+          ++measured;
+          SCOPED_TRACE(::testing::Message()
+                       << "workers=" << workers << " pruned="
+                       << (mode == DecodeMode::kPruned) << " pair (" << a
+                       << "," << b << ")");
+          expect_cell(oracle.estimate(states[a], states[b]),
+                      matrix.at(a, b));
+        }
+      }
+      EXPECT_GT(measured, 0u);
+      if (mode == DecodeMode::kAuto) {
+        EXPECT_EQ(measured, states.size() * (states.size() - 1) / 2);
+      }
     }
   }
 }

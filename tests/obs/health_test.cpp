@@ -1,12 +1,13 @@
 // Estimator-health telemetry: a synthetic over-saturated RSU (n >> m)
 // must trip the saturation flag and the health/rsu_saturated counter, a
 // fleet off its sizing plan must trip the drift flag, and a decoded
-// matrix must yield a nonzero predicted-relative-error gauge through
-// the paper's Section V accuracy model.
+// matrix must yield a nonzero predicted-relative-error gauge equal to
+// each cell's own stddev / estimate ratio.
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -112,9 +113,9 @@ TEST(HealthTest, PointerSpanOverloadMatchesValueSpan) {
 
 TEST(HealthTest, DecodedPairsYieldNonzeroPredictedRelErr) {
   // Two healthy RSUs sharing one road of 200 vehicles plus 200 local
-  // each: the decoded overlap is positive and inside the accuracy
-  // model's domain, so the pair must be assessed with a strictly
-  // positive predicted relative error (Eq. 36), pushed to the gauge.
+  // each: the decoded overlap is positive, so the pair must be assessed
+  // with a strictly positive predicted relative error, pushed to the
+  // gauge.
   std::uint64_t h = 0xF00D;
   std::vector<std::size_t> shared;
   for (int i = 0; i < 200; ++i) {
@@ -144,9 +145,63 @@ TEST(HealthTest, DecodedPairsYieldNonzeroPredictedRelErr) {
       0.0);
 }
 
+TEST(HealthTest, PredictedRelErrIsEachCellsOwnRatio) {
+  // Three RSUs, mixed sizes, pairwise overlaps of different volume: the
+  // health pass must report exactly the decoded cells' stddev / n_c_hat
+  // (one error model), not a second model evaluated beside the decode.
+  std::uint64_t h = 0xCE11;
+  std::vector<std::size_t> shared_ab, shared_bc;
+  for (int i = 0; i < 300; ++i) {
+    shared_ab.push_back(static_cast<std::size_t>(common::mix64(++h)));
+  }
+  for (int i = 0; i < 120; ++i) {
+    shared_bc.push_back(static_cast<std::size_t>(common::mix64(++h)));
+  }
+  auto indices = [](std::span<const std::size_t> keys, std::size_t m) {
+    std::vector<std::size_t> out;
+    for (const std::size_t key : keys) out.push_back(key % m);
+    return out;
+  };
+  std::vector<core::RsuState> states;
+  states.push_back(make_state(4096, 400, indices(shared_ab, 4096), h));
+  core::RsuState b = make_state(8192, 500, indices(shared_ab, 8192), h);
+  for (const std::size_t index : indices(shared_bc, 8192)) b.record(index);
+  states.push_back(std::move(b));
+  states.push_back(make_state(2048, 150, indices(shared_bc, 2048), h));
+
+  const core::OdMatrix matrix =
+      core::estimate_od_matrix(states, 2, 1.96, {}, nullptr);
+  double max_ratio = 0.0;
+  double sum_ratio = 0.0;
+  std::size_t assessed = 0;
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t c = a + 1; c < 3; ++c) {
+      const core::EstimateInterval& cell = matrix.at(a, c);
+      if (cell.degraded || cell.n_c_hat <= 0.0) continue;
+      const double ratio = cell.stddev / cell.n_c_hat;
+      max_ratio = std::max(max_ratio, ratio);
+      sum_ratio += ratio;
+      ++assessed;
+    }
+  }
+  ASSERT_GE(assessed, 2u);
+
+  HealthOptions options;
+  options.s = 2;
+  HealthSummary summary;
+  assess_pairs(states, matrix, options, summary);
+  EXPECT_EQ(summary.pairs_assessed, assessed);
+  EXPECT_EQ(summary.max_predicted_rel_err, max_ratio);
+  EXPECT_DOUBLE_EQ(summary.mean_predicted_rel_err,
+                   sum_ratio / static_cast<double>(assessed));
+  EXPECT_EQ(
+      MetricsRegistry::global().gauge("health/predicted_rel_err_max").value(),
+      max_ratio);
+}
+
 TEST(HealthTest, SaturatedPairCountsAsDegraded) {
   // Both endpoints over-saturated: the estimator marks the cell degraded
-  // and the health pass must not feed it to the accuracy model.
+  // and the health pass must not assess it.
   std::uint64_t h = 0xDEAD;
   std::vector<core::RsuState> states;
   states.push_back(make_state(64, 10'000, {}, h));

@@ -208,6 +208,13 @@ int main(int argc, char** argv) {
       workload_config.vehicle_count =
           static_cast<std::uint64_t>(parser.get_int("vehicles"));
       workload_config.seed = seed;
+      // A trip visits at most every RSU once: clamp the default visit
+      // range to small deployments (a no-op from six RSUs up).
+      workload_config.max_visits = static_cast<std::uint32_t>(
+          std::min<std::size_t>(workload_config.max_visits,
+                                workload_config.rsu_count));
+      workload_config.min_visits =
+          std::min(workload_config.min_visits, workload_config.max_visits);
       zipf_workload =
           std::make_unique<traffic::MultiRsuWorkload>(workload_config);
       zipf_workload->for_each_vehicle(
