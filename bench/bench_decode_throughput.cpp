@@ -54,15 +54,12 @@
 #include "core/od_matrix.h"
 #include "core/rsu_state.h"
 #include "core/sizing.h"
+#include "host_json.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "traffic/multi_rsu_workload.h"
-
-#ifndef VLM_BUILD_TYPE
-#define VLM_BUILD_TYPE "unknown"
-#endif
 
 namespace {
 
@@ -194,14 +191,6 @@ std::vector<core::RsuState> zipf_fleet(std::size_t rsus,
       });
   return states;
 }
-
-#if defined(__clang__)
-constexpr const char* kCompiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-constexpr const char* kCompiler = "gcc " __VERSION__;
-#else
-constexpr const char* kCompiler = "unknown";
-#endif
 
 core::OdMatrix decode(std::span<const core::RsuState> states,
                       unsigned workers, std::size_t tile_words,
@@ -528,8 +517,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "{\"rsus\": %zu, \"m\": %zu, \"pairs\": %zu, \"workers\": %u,\n"
-      " \"host\": {\"nproc\": %u, \"kernel_isa\": \"%s\", "
-      "\"build_type\": \"%s\", \"compiler\": \"%s\"},\n"
+      " \"host\": %s,\n"
       " \"kernel_isa\": \"%s\",\n"
       " \"tile_words\": %zu,\n"
       " \"dram_passes_saved\": %zu,\n"
@@ -549,8 +537,7 @@ int main(int argc, char** argv) {
       "\"predicted_rel_err_max\": %.4f, \"predicted_rel_err_mean\": %.4f},\n"
       " \"metrics\": %s}\n",
       k, m, blocked_serial_stats.pairs_decoded, blocked_parallel_stats.workers,
-      common::default_worker_count(), common::kernels::active_name(),
-      VLM_BUILD_TYPE, kCompiler, blocked_parallel_stats.kernel_isa, blocked_serial_stats.tile_words,
+      bench::host_json().c_str(), blocked_parallel_stats.kernel_isa, blocked_serial_stats.tile_words,
       blocked_serial_stats.dram_passes_saved, naive_best, blocked_serial_best,
       blocked_parallel_best, naive_best / blocked_serial_best,
       blocked_serial_best > 0.0

@@ -11,7 +11,8 @@
 //   - "batch_*": drive_vehicles with 1 worker and with one worker per
 //     core, with a "batch_bit_identical_to_serial" flag (bits AND
 //     counters) that covers every checked worker count;
-//   - "raw_*": the protocol-free encode kernel on the largest RSU.
+//   - "raw_*": the protocol-free encode kernel on the largest RSU;
+//   - "host": core count, kernel ISA, build type and compiler.
 // Exits non-zero if any run's reports disagree.
 #include <algorithm>
 #include <cmath>
@@ -25,6 +26,7 @@
 #include "common/parallel.h"
 #include "common/visited_mask.h"
 #include "core/pair_simulation.h"
+#include "host_json.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -256,6 +258,7 @@ int main(int argc, char** argv) {
   std::printf(
       "{\"rsus\": %zu, \"vehicles\": %llu, \"workers\": %u, \"exchanges\": "
       "%llu,\n"
+      " \"host\": %s,\n"
       " \"kernel_isa\": \"%s\",\n"
       " \"serial_seconds\": %.6f,\n"
       " \"serial_vehicles_per_second\": %.0f,\n"
@@ -280,7 +283,7 @@ int main(int argc, char** argv) {
       " \"metrics\": %s}\n",
       k, static_cast<unsigned long long>(vehicles), batch_stats.workers,
       static_cast<unsigned long long>(batch_stats.exchanges),
-      batch_stats.kernel_isa, serial_best, per_sec(serial_best),
+      bench::host_json().c_str(), batch_stats.kernel_isa, serial_best, per_sec(serial_best),
       batch_serial_best, batch_parallel_best, serial_best / batch_serial_best,
       serial_best / batch_parallel_best, per_sec(batch_parallel_best),
       batch_stats.materialize_seconds, batch_stats.hash_seconds,

@@ -10,7 +10,8 @@
 //
 // Every timed result is first cross-checked against the scalar table on
 // the same inputs (counts AND merged words); the process exits non-zero
-// on any mismatch, so CI runs double as a bit-exactness gate.
+// on any mismatch, so CI runs double as a bit-exactness gate. The JSON
+// opens with the "host" object (core count, ISA, build type, compiler).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include "common/cli.h"
 #include "common/kernels/kernels.h"
 #include "common/rng.h"
+#include "host_json.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -205,14 +207,15 @@ int main(int argc, char** argv) {
     isas += "\"";
   }
   std::printf(
-      "{\"kernel_isa\": \"%s\",\n"
+      "{\"host\": %s,\n"
+      " \"kernel_isa\": \"%s\",\n"
       " \"isas_available\": [%s],\n"
       " \"unfold_ratio\": %zu,\n"
       " \"sizes\": [\n%s\n ],\n"
       " \"min_fused_speedup_m_ge_2e20\": %.2f,\n"
       " \"identical\": %s,\n"
       " \"metrics\": %s}\n",
-      dispatched.name, isas.c_str(), unfold, sizes_json.c_str(),
+      bench::host_json().c_str(), dispatched.name, isas.c_str(), unfold, sizes_json.c_str(),
       min_large_fused_speedup < 1e300 ? min_large_fused_speedup : 0.0,
       identical ? "true" : "false",
       obs::to_json(obs::MetricsRegistry::global().snapshot(), {}, 2).c_str());

@@ -63,6 +63,20 @@ PairGroup& pair_group() {
   return *group;
 }
 
+struct TruthGroup {
+  Gauge& realized_rel_err;
+  Gauge& interval_coverage;
+};
+
+TruthGroup& truth_group() {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  static TruthGroup* group = new TruthGroup{
+      reg.gauge("health/realized_rel_err"),
+      reg.gauge("health/interval_coverage"),
+  };
+  return *group;
+}
+
 }  // namespace
 
 HealthSummary assess_rsus(std::span<const core::RsuState> states,
@@ -162,6 +176,51 @@ void assess_pairs(std::span<const core::RsuState> states,
   metrics.assessed.add(summary.pairs_assessed);
   metrics.degraded.add(summary.pairs_degraded);
   metrics.predicted_rel_err_max.set(summary.max_predicted_rel_err);
+}
+
+RealizedAccuracy assess_truth(
+    const core::OdMatrix& matrix,
+    const std::function<std::uint64_t(std::size_t, std::size_t)>& truth) {
+  RealizedAccuracy accuracy;
+  const std::size_t k = matrix.rsu_count();
+  double abs_err = 0.0;
+  double true_total = 0.0;
+  for (std::size_t a = 0; a + 1 < k; ++a) {
+    for (std::size_t b = a + 1; b < k; ++b) {
+      ++accuracy.pairs;
+      const core::EstimateInterval& cell = matrix.at(a, b);
+      if (!std::isfinite(cell.n_c_hat) || !std::isfinite(cell.lower) ||
+          !std::isfinite(cell.upper)) {
+        continue;
+      }
+      const auto n = static_cast<double>(truth(a, b));
+      abs_err += std::fabs(cell.n_c_hat - n);
+      true_total += n;
+      if (cell.lower <= n && n <= cell.upper) ++accuracy.covered;
+    }
+  }
+  accuracy.realized_rel_err = true_total > 0.0 ? abs_err / true_total : 0.0;
+  accuracy.interval_coverage =
+      accuracy.pairs > 0 ? static_cast<double>(accuracy.covered) /
+                               static_cast<double>(accuracy.pairs)
+                         : 0.0;
+  TruthGroup& metrics = truth_group();
+  metrics.realized_rel_err.set(accuracy.realized_rel_err);
+  metrics.interval_coverage.set(accuracy.interval_coverage);
+  return accuracy;
+}
+
+std::string format_accuracy(const RealizedAccuracy& realized,
+                            const HealthSummary& predicted) {
+  char buffer[256];
+  std::snprintf(buffer, sizeof buffer,
+                "accuracy: realized rel err %.4g, interval coverage %.3f (%zu "
+                "of %zu pairs); predicted rel err max %.3f mean %.3f\n",
+                realized.realized_rel_err, realized.interval_coverage,
+                realized.covered, realized.pairs,
+                predicted.max_predicted_rel_err,
+                predicted.mean_predicted_rel_err);
+  return buffer;
 }
 
 std::string format_health_summary(const HealthSummary& summary) {

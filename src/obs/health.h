@@ -28,11 +28,16 @@
 //   health/pairs_assessed       counter  pairs given a predicted error
 //   health/pairs_degraded       counter  pairs skipped: saturated /
 //                                        zero-volume / non-finite ratio
+//   health/realized_rel_err     gauge    Σ|n̂ − n| / Σn against exact
+//                                        truth (simulation only)
+//   health/interval_coverage    gauge    fraction of pairs whose
+//                                        interval holds the true n
 //
-// The period-close metrics and the decode metrics register lazily as
-// two independent groups: a simulate run that never decodes exports no
-// decode-only histograms (every exported histogram must have observations
-// — CI's span smoke asserts count > 0 across the board).
+// The period-close metrics, the decode metrics and the truth gauges
+// register lazily as independent groups: a simulate run that never
+// decodes exports no decode-only histograms (every exported histogram
+// must have observations — CI's span smoke asserts count > 0 across the
+// board).
 //
 // Layering: this sits ABOVE vlm_core (it reads core::RsuState and the
 // decoded core::OdMatrix), so it is its own library target
@@ -41,6 +46,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -123,6 +129,29 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
 void assess_pairs(std::span<const core::RsuState> states,
                   const core::OdMatrix& matrix, const HealthOptions& options,
                   HealthSummary& summary);
+
+// Realized accuracy of a decoded matrix against exact pair truth, which
+// only a simulation has: the check the predicted error stands in for.
+struct RealizedAccuracy {
+  std::size_t pairs = 0;          // every pair of the matrix
+  std::size_t covered = 0;        // pairs whose [lower, upper] holds n
+  double realized_rel_err = 0.0;  // Σ|n̂ − n| / Σn over finite cells
+  double interval_coverage = 0.0;  // covered / pairs
+};
+
+// Scores every pair (a < b) of `matrix` against truth(a, b), the exact
+// common volume of matrix rows a and b; a non-finite cell counts as
+// uncovered and adds no error. Publishes the two truth gauges.
+RealizedAccuracy assess_truth(
+    const core::OdMatrix& matrix,
+    const std::function<std::uint64_t(std::size_t a, std::size_t b)>& truth);
+
+// One line setting realized accuracy beside the predicted error of the
+// same decode, e.g.
+//   "accuracy: realized rel err 0.0139, interval coverage 0.956 (1928 of
+//    2016 pairs); predicted rel err max 0.412 mean 0.031"
+std::string format_accuracy(const RealizedAccuracy& realized,
+                            const HealthSummary& predicted);
 
 // One-line summary for the CLI stats output, e.g.
 //   "health             rsus 16  saturated 3  drifted 0  max_fill 0.993"

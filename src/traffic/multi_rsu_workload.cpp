@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/hashing.h"
 #include "common/kernels/kernels.h"
+#include "common/parallel.h"
 #include "common/require.h"
 #include "common/uninit.h"
 
@@ -367,32 +369,112 @@ void MultiRsuWorkload::itineraries(std::uint64_t begin, std::uint64_t end,
 void MultiRsuWorkload::for_each_vehicle(
     const std::function<void(std::uint64_t, std::span<const std::uint32_t>)>&
         visit) {
-  volumes_.assign(config_.rsu_count, 0);
-  pair_counts_.assign(config_.rsu_count * config_.rsu_count, 0);
+  const std::size_t k = config_.rsu_count;
+  const std::uint64_t n = config_.vehicle_count;
+  const std::size_t triangle = k * (k - 1) / 2;
+  // Strict upper triangle, row-major (pair_volume's layout): pair
+  // (lo, hi) lives at row_base[lo] + hi. row_base[0] wraps below zero,
+  // which the unsigned add with hi >= 1 undoes.
+  std::vector<std::size_t> row_base(k);
+  for (std::size_t lo = 0; lo < k; ++lo) {
+    row_base[lo] = lo * k - lo * (lo + 1) / 2 - lo - 1;
+  }
 
-  common::VisitedMask visited(config_.rsu_count);
-  std::vector<std::uint32_t> rsus;
-  for (std::uint64_t v = 0; v < config_.vehicle_count; ++v) {
-    itinerary(v, visited, rsus);
-    // Itineraries are sorted, so rsus[i] < rsus[j] for i < j and the pair
-    // counter needs no per-pair min/max.
-    for (std::size_t i = 0; i < rsus.size(); ++i) {
-      ++volumes_[rsus[i]];
-      for (std::size_t j = i + 1; j < rsus.size(); ++j) {
-        ++pair_counts_[rsus[i] * config_.rsu_count + rsus[j]];
+  // One slot per task of a round: the block's CSR, kept until the
+  // calling thread has visited it. Slot s only ever runs block
+  // (round * width + s) and counts into shard s, so a shard is written by
+  // one task at a time and the merged sums do not depend on which thread
+  // ran which block. Slots sit on their own cache lines (itineraries()
+  // grows `offsets` once per vehicle), and the shards are strided apart
+  // by at least a line for the same reason.
+  struct alignas(64) Slot {
+    explicit Slot(std::size_t rsu_count) : visited(rsu_count) {}
+    common::VisitedMask visited;
+    common::UninitVector<std::uint32_t> positions;
+    std::vector<std::uint64_t> offsets;
+    std::vector<std::uint64_t> counts;
+  };
+  const std::uint64_t blocks =
+      (n + kTruthBlockVehicles - 1) / kTruthBlockVehicles;
+  const auto width = static_cast<unsigned>(std::min<std::uint64_t>(
+      common::WorkerPool::instance().thread_count() + 1, blocks));
+  std::vector<Slot> slots;
+  slots.reserve(width);
+  for (unsigned s = 0; s < width; ++s) slots.emplace_back(k);
+  const std::size_t stride = (triangle + 31) / 16 * 16;
+  std::vector<std::uint32_t> shards(width * stride, 0);
+
+  // The truth accumulates locally and replaces the members only after a
+  // complete pass, so a throwing `visit` leaves the previous truth.
+  std::vector<std::uint64_t> volumes(k, 0);
+  std::vector<std::uint64_t> pairs(triangle, 0);
+  const auto merge_shards = [&] {
+    for (unsigned s = 0; s < width; ++s) {
+      const std::uint32_t* shard = shards.data() + s * stride;
+      for (std::size_t i = 0; i < triangle; ++i) pairs[i] += shard[i];
+    }
+    std::fill(shards.begin(), shards.end(), 0);
+  };
+  // A shard count grows by at most one per vehicle of its slot, so
+  // merging this often keeps the uint32 shards exact at any fleet size.
+  constexpr std::uint64_t kRoundsPerMerge =
+      std::numeric_limits<std::uint32_t>::max() / kTruthBlockVehicles;
+
+  std::uint64_t rounds_unmerged = 0;
+  for (std::uint64_t first = 0; first < blocks; first += width) {
+    const auto used =
+        static_cast<unsigned>(std::min<std::uint64_t>(width, blocks - first));
+    common::WorkerPool::instance().run(used, [&](unsigned s) {
+      Slot& slot = slots[s];
+      const std::uint64_t begin = (first + s) * kTruthBlockVehicles;
+      const std::uint64_t end = std::min(n, begin + kTruthBlockVehicles);
+      itineraries(begin, end, slot.visited, slot.positions, slot.offsets,
+                  slot.counts);
+      // Itineraries are sorted, so every (it, jt) below is (lo, hi).
+      const std::uint32_t* positions = slot.positions.data();
+      std::uint32_t* shard = shards.data() + s * stride;
+      for (std::size_t i = 0; i + 1 < slot.offsets.size(); ++i) {
+        const std::uint32_t* const stop = positions + slot.offsets[i + 1];
+        for (const std::uint32_t* it = positions + slot.offsets[i]; it != stop;
+             ++it) {
+          const std::size_t base = row_base[*it];
+          for (const std::uint32_t* jt = it + 1; jt != stop; ++jt) {
+            ++shard[base + *jt];
+          }
+        }
+      }
+    });
+    for (unsigned s = 0; s < used; ++s) {
+      const Slot& slot = slots[s];
+      for (std::size_t r = 0; r < k; ++r) volumes[r] += slot.counts[r];
+      const std::uint64_t begin = (first + s) * kTruthBlockVehicles;
+      for (std::size_t i = 0; i + 1 < slot.offsets.size(); ++i) {
+        visit(begin + i,
+              std::span<const std::uint32_t>(
+                  slot.positions.data() + slot.offsets[i],
+                  slot.offsets[i + 1] - slot.offsets[i]));
       }
     }
-    visit(v, rsus);
+    if (++rounds_unmerged == kRoundsPerMerge) {
+      merge_shards();
+      rounds_unmerged = 0;
+    }
   }
+  merge_shards();
+  volumes_ = std::move(volumes);
+  pair_counts_ = std::move(pairs);
 }
 
 std::uint64_t MultiRsuWorkload::pair_volume(std::uint32_t a,
                                             std::uint32_t b) const {
   VLM_REQUIRE(a < config_.rsu_count && b < config_.rsu_count && a != b,
               "pair volume needs two distinct registered RSUs");
-  const auto lo = std::min(a, b);
-  const auto hi = std::max(a, b);
-  return pair_counts_[lo * config_.rsu_count + hi];
+  VLM_REQUIRE(!volumes_.empty(),
+              "no ground truth yet: run for_each_vehicle first");
+  const std::size_t lo = std::min(a, b);
+  const std::size_t hi = std::max(a, b);
+  const std::size_t k = config_.rsu_count;
+  return pair_counts_[lo * k - lo * (lo + 1) / 2 + (hi - lo - 1)];
 }
 
 }  // namespace vlm::traffic

@@ -79,15 +79,29 @@ class MultiRsuWorkload {
                    std::vector<std::uint64_t>& offsets,
                    std::vector<std::uint64_t>& counts) const;
 
-  // Streams each vehicle's visit list (distinct RSU indices, sorted), in
-  // vehicle order, via itinerary(). Deterministic for a given config.
-  // While streaming, ground-truth counters are accumulated and are
-  // available afterwards.
+  // Streams each vehicle's visit list (distinct RSU indices, sorted) to
+  // `visit` and records the exact ground truth of the stream. The
+  // itineraries come from the bulk itineraries() generator in blocks of
+  // kTruthBlockVehicles, one block per task of a WorkerPool round, and
+  // each task counts its block's pairs into its own shard; the counts
+  // are integer sums, so the truth is identical for every worker count
+  // and schedule. `visit` still runs serially on the calling thread, in
+  // vehicle order, once per vehicle, each span equal to itinerary(v).
+  // Called from inside a pool task, the rounds run inline.
+  //
+  // If `visit` throws, the exception propagates and the shards are
+  // dropped: node_volumes() and pair_volume() keep the truth of the
+  // last complete pass (none before the first).
   void for_each_vehicle(
       const std::function<void(std::uint64_t vehicle_index,
                                std::span<const std::uint32_t> rsus)>& visit);
 
-  // Ground truth collected by the last for_each_vehicle run.
+  // Vehicles per bulk block of the ground-truth pass. Small enough that
+  // the per-thread generator scratch stays a few hundred KiB.
+  static constexpr std::uint64_t kTruthBlockVehicles = 4096;
+
+  // Ground truth of the last complete for_each_vehicle pass. node_volumes()
+  // is empty and pair_volume() throws before the first one.
   const std::vector<std::uint64_t>& node_volumes() const { return volumes_; }
   std::uint64_t pair_volume(std::uint32_t a, std::uint32_t b) const;
 
@@ -112,7 +126,7 @@ class MultiRsuWorkload {
   // step. Pure acceleration — the selected rank is unchanged.
   std::vector<std::uint32_t> zipf_guide_;
   std::vector<std::uint64_t> volumes_;
-  std::vector<std::uint64_t> pair_counts_;  // upper-triangular matrix
+  std::vector<std::uint64_t> pair_counts_;  // strict upper triangle, row-major
 };
 
 }  // namespace vlm::traffic

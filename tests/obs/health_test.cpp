@@ -2,12 +2,13 @@
 // must trip the saturation flag and the health/rsu_saturated counter, a
 // fleet off its sizing plan must trip the drift flag, and a decoded
 // matrix must yield a nonzero predicted-relative-error gauge equal to
-// each cell's own stddev / estimate ratio.
+// each cell's own stddev / estimate ratio, and exact truth must score it.
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <string>
 #include <vector>
@@ -197,6 +198,66 @@ TEST(HealthTest, PredictedRelErrIsEachCellsOwnRatio) {
   EXPECT_EQ(
       MetricsRegistry::global().gauge("health/predicted_rel_err_max").value(),
       max_ratio);
+}
+
+TEST(HealthTest, RealizedAccuracyScoresEveryPairAgainstTruth) {
+  // Three RSUs with known overlaps (A∩B = 300, B∩C = 120, A∩C = 0): the
+  // truth pass must sum |n̂ − n| over Σn and count the intervals that
+  // hold n, over every pair, and publish both as gauges.
+  std::uint64_t h = 0x7A57;
+  std::vector<std::size_t> shared_ab, shared_bc;
+  for (int i = 0; i < 300; ++i) {
+    shared_ab.push_back(static_cast<std::size_t>(common::mix64(++h)));
+  }
+  for (int i = 0; i < 120; ++i) {
+    shared_bc.push_back(static_cast<std::size_t>(common::mix64(++h)));
+  }
+  auto indices = [](std::span<const std::size_t> keys, std::size_t m) {
+    std::vector<std::size_t> out;
+    for (const std::size_t key : keys) out.push_back(key % m);
+    return out;
+  };
+  std::vector<core::RsuState> states;
+  states.push_back(make_state(4096, 400, indices(shared_ab, 4096), h));
+  core::RsuState b = make_state(8192, 500, indices(shared_ab, 8192), h);
+  for (const std::size_t index : indices(shared_bc, 8192)) b.record(index);
+  states.push_back(std::move(b));
+  states.push_back(make_state(2048, 150, indices(shared_bc, 2048), h));
+  const core::OdMatrix matrix =
+      core::estimate_od_matrix(states, 2, 1.96, {}, nullptr);
+
+  const std::uint64_t truth[3][3] = {{0, 300, 0}, {0, 0, 120}, {0, 0, 0}};
+  double abs_err = 0.0;
+  std::size_t covered = 0;
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t c = a + 1; c < 3; ++c) {
+      const core::EstimateInterval& cell = matrix.at(a, c);
+      const auto n = static_cast<double>(truth[a][c]);
+      abs_err += std::fabs(cell.n_c_hat - n);
+      if (cell.lower <= n && n <= cell.upper) ++covered;
+    }
+  }
+
+  const RealizedAccuracy realized = assess_truth(
+      matrix, [&](std::size_t a, std::size_t c) { return truth[a][c]; });
+  EXPECT_EQ(realized.pairs, 3u);
+  EXPECT_EQ(realized.covered, covered);
+  EXPECT_DOUBLE_EQ(realized.realized_rel_err, abs_err / 420.0);
+  EXPECT_DOUBLE_EQ(realized.interval_coverage,
+                   static_cast<double>(covered) / 3.0);
+  MetricsRegistry& registry = MetricsRegistry::global();
+  EXPECT_EQ(registry.gauge("health/realized_rel_err").value(),
+            realized.realized_rel_err);
+  EXPECT_EQ(registry.gauge("health/interval_coverage").value(),
+            realized.interval_coverage);
+
+  HealthSummary predicted;
+  predicted.max_predicted_rel_err = 0.25;
+  const std::string line = format_accuracy(realized, predicted);
+  EXPECT_NE(line.find("realized rel err"), std::string::npos);
+  EXPECT_NE(line.find("interval coverage"), std::string::npos);
+  EXPECT_NE(line.find("predicted rel err max 0.250"), std::string::npos);
+  EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
 }
 
 TEST(HealthTest, SaturatedPairCountsAsDegraded) {

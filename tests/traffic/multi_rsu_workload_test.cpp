@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/visited_mask.h"
 
 namespace vlm::traffic {
@@ -182,6 +183,144 @@ TEST(MultiRsuWorkload, SeedConfigVolumesAreFrozen) {
                                             4227,  3710,  3184, 2904, 2474};
   EXPECT_EQ(workload.node_volumes(), expected);
   EXPECT_EQ(workload.pair_volume(0, 1), 7300u);
+}
+
+// --- Parallel ground-truth pass against the per-vehicle oracle ---
+
+// The truth for_each_vehicle must reproduce: a serial loop over the
+// per-vehicle itinerary(), counting node volumes and every pair (row-major
+// K x K, upper triangle).
+struct SerialTruth {
+  std::vector<std::vector<std::uint32_t>> itineraries;
+  std::vector<std::uint64_t> volumes;
+  std::vector<std::uint64_t> pairs;
+};
+
+SerialTruth serial_truth(const MultiRsuWorkload& workload) {
+  const MultiRsuConfig& config = workload.config();
+  const std::size_t k = config.rsu_count;
+  SerialTruth truth;
+  truth.volumes.assign(k, 0);
+  truth.pairs.assign(k * k, 0);
+  common::VisitedMask visited(k);
+  std::vector<std::uint32_t> rsus;
+  for (std::uint64_t v = 0; v < config.vehicle_count; ++v) {
+    workload.itinerary(v, visited, rsus);
+    for (std::size_t i = 0; i < rsus.size(); ++i) {
+      ++truth.volumes[rsus[i]];
+      for (std::size_t j = i + 1; j < rsus.size(); ++j) {
+        ++truth.pairs[rsus[i] * k + rsus[j]];
+      }
+    }
+    truth.itineraries.push_back(rsus);
+  }
+  return truth;
+}
+
+// Runs one pass and checks the streamed itineraries and the recorded
+// truth against the oracle.
+void expect_pass_matches(MultiRsuWorkload& workload, const SerialTruth& want) {
+  const std::size_t k = workload.config().rsu_count;
+  std::uint64_t next = 0;
+  workload.for_each_vehicle(
+      [&](std::uint64_t v, std::span<const std::uint32_t> rsus) {
+        ASSERT_EQ(v, next) << "vehicles out of order";
+        ++next;
+        ASSERT_LT(v, want.itineraries.size());
+        ASSERT_EQ(std::vector<std::uint32_t>(rsus.begin(), rsus.end()),
+                  want.itineraries[v])
+            << "vehicle " << v;
+      });
+  EXPECT_EQ(next, workload.config().vehicle_count);
+  EXPECT_EQ(workload.node_volumes(), want.volumes);
+  for (std::uint32_t a = 0; a < k; ++a) {
+    for (std::uint32_t b = a + 1; b < k; ++b) {
+      ASSERT_EQ(workload.pair_volume(a, b), want.pairs[a * k + b])
+          << "pair (" << a << ", " << b << ")";
+      ASSERT_EQ(workload.pair_volume(b, a), want.pairs[a * k + b]);
+    }
+  }
+}
+
+// RSU counts on both sides of the word-dedup limit (64), the smallest
+// deployment, and a wide one whose spans exceed 16 visits (mask dedup).
+std::vector<MultiRsuConfig> oracle_configs() {
+  std::vector<MultiRsuConfig> configs;
+  const struct {
+    std::size_t rsus;
+    std::uint32_t min_visits, max_visits;
+    double zipf;
+  } shapes[] = {{2, 1, 2, 1.0},  {6, 2, 6, 1.0},  {63, 2, 6, 1.0},
+                {64, 2, 8, 1.2}, {65, 2, 8, 1.2}, {300, 2, 24, 1.1}};
+  for (const auto& shape : shapes) {
+    MultiRsuConfig config;
+    config.rsu_count = shape.rsus;
+    config.min_visits = shape.min_visits;
+    config.max_visits = shape.max_visits;
+    config.zipf_exponent = shape.zipf;
+    config.seed = 5 + shape.rsus;
+    configs.push_back(config);
+  }
+  return configs;
+}
+
+TEST(MultiRsuWorkload, ParallelTruthMatchesSerialOracle) {
+  constexpr std::uint64_t kBlock = MultiRsuWorkload::kTruthBlockVehicles;
+  // One vehicle, a block boundary from both sides, and a fleet that ends
+  // in a partial block of a partial round.
+  for (MultiRsuConfig config : oracle_configs()) {
+    for (const std::uint64_t vehicles :
+         {std::uint64_t{1}, kBlock - 1, kBlock, kBlock + 1, 5 * kBlock + 17}) {
+      config.vehicle_count = vehicles;
+      SCOPED_TRACE(::testing::Message() << "rsus " << config.rsu_count
+                                        << ", vehicles " << vehicles);
+      MultiRsuWorkload workload(config);
+      expect_pass_matches(workload, serial_truth(workload));
+    }
+  }
+}
+
+TEST(MultiRsuWorkload, ParallelTruthInsideAPoolTaskMatchesOracle) {
+  // A pass launched from a pool task runs its rounds inline; the truth
+  // must not change.
+  std::vector<MultiRsuConfig> configs = oracle_configs();
+  for (MultiRsuConfig& config : configs) {
+    config.vehicle_count = 3 * MultiRsuWorkload::kTruthBlockVehicles + 5;
+  }
+  std::vector<std::uint8_t> ran(configs.size(), 0);
+  common::parallel_for(configs.size(), 3, [&](std::size_t i) {
+    MultiRsuWorkload workload(configs[i]);
+    expect_pass_matches(workload, serial_truth(workload));
+    ran[i] = 1;
+  });
+  EXPECT_EQ(ran, std::vector<std::uint8_t>(configs.size(), 1));
+}
+
+TEST(MultiRsuWorkload, ThrowingVisitKeepsThePreviousTruth) {
+  MultiRsuConfig config = small_config();
+  config.vehicle_count = 7 * MultiRsuWorkload::kTruthBlockVehicles + 3;
+  MultiRsuWorkload workload(config);
+  const SerialTruth want = serial_truth(workload);
+  const std::uint64_t throw_at = 5 * MultiRsuWorkload::kTruthBlockVehicles + 9;
+  const auto throwing = [&](std::uint64_t v, std::span<const std::uint32_t>) {
+    if (v == throw_at) throw std::runtime_error("visit failed");
+  };
+
+  // Before any complete pass there is no truth to read.
+  EXPECT_THROW(workload.for_each_vehicle(throwing), std::runtime_error);
+  EXPECT_TRUE(workload.node_volumes().empty());
+  EXPECT_THROW((void)workload.pair_volume(0, 1), std::invalid_argument);
+
+  // After a complete pass, a throwing one leaves that pass's truth whole.
+  expect_pass_matches(workload, want);
+  EXPECT_THROW(workload.for_each_vehicle(throwing), std::runtime_error);
+  EXPECT_EQ(workload.node_volumes(), want.volumes);
+  for (std::uint32_t a = 0; a < config.rsu_count; ++a) {
+    for (std::uint32_t b = a + 1; b < config.rsu_count; ++b) {
+      EXPECT_EQ(workload.pair_volume(a, b),
+                want.pairs[a * config.rsu_count + b]);
+    }
+  }
 }
 
 TEST(MultiRsuWorkload, Guards) {

@@ -323,6 +323,22 @@ int main(int argc, char** argv) {
                   matrix.total_estimated_common());
       std::printf(
           "%s", obs::format_decode_stats(sim->server().stats().decode).c_str());
+      if (zipf_workload) {
+        // The simulated fleet's exact pair counts score the decode:
+        // realized error and coverage beside the predicted error. RSU id
+        // r + 1 is workload RSU r.
+        const std::vector<core::RsuId> order = sim->server().matrix_order();
+        const auto truth = [&](std::size_t a, std::size_t b) {
+          return zipf_workload->pair_volume(
+              static_cast<std::uint32_t>(order[a].value - 1),
+              static_cast<std::uint32_t>(order[b].value - 1));
+        };
+        const obs::health::RealizedAccuracy realized =
+            obs::health::assess_truth(matrix, truth);
+        std::printf("%s", obs::health::format_accuracy(
+                              realized, sim->server().stats().health)
+                              .c_str());
+      }
     }
     std::printf("%s", obs::format_pipeline_stats(sim->scheme().name(),
                                                  sim->server().stats())
