@@ -81,34 +81,25 @@ core::EstimateInterval naive_pair(const core::IntervalEstimator& interval,
                                   const core::PairEstimator& estimator,
                                   const core::RsuState& x,
                                   const core::RsuState& y) {
-  const core::RsuState& small = x.array_size() <= y.array_size() ? x : y;
-  const core::RsuState& large = x.array_size() <= y.array_size() ? y : x;
+  // The decode's operand roles (IntervalEstimator::takes_x_role).
+  const bool x_first = core::IntervalEstimator::takes_x_role(
+      core::IntervalEstimator::rsu_terms(x),
+      core::IntervalEstimator::rsu_terms(y));
+  const core::RsuState& small = x_first ? x : y;
+  const core::RsuState& large = x_first ? y : x;
   const std::size_t m_x = small.array_size();
   const std::size_t m_y = large.array_size();
   const common::BitArray combined =
       m_x == m_y ? small.bits() | large.bits()
                  : small.bits().unfolded(m_y) | large.bits();
 
-  core::PairEstimate point;
-  point.m_x = m_x;
-  point.m_y = m_y;
-  auto fraction = [&](std::size_t zeros, std::size_t size, bool& saturated) {
-    if (zeros == 0) {
-      saturated = true;
-      return 0.5 / static_cast<double>(size);
-    }
-    return static_cast<double>(zeros) / static_cast<double>(size);
-  };
-  point.v_x = fraction(sweep_zeros(small.bits()), m_x, point.saturated);
-  point.v_y = fraction(sweep_zeros(large.bits()), m_y, point.saturated);
-  point.v_c = fraction(sweep_zeros(combined), m_y, point.saturated);
-  point.raw = (std::log(point.v_c) - std::log(point.v_x) -
-               std::log(point.v_y)) /
-              estimator.log_ratio_denominator(m_y);
-  point.n_c_hat = std::max(0.0, point.raw);
+  const core::PairEstimate point = core::eq5_estimate(
+      core::zero_fraction(sweep_zeros(small.bits()), m_x),
+      core::zero_fraction(sweep_zeros(large.bits()), m_y),
+      sweep_zeros(combined), estimator.log_ratio_denominator(m_y));
   core::EstimateInterval out =
-      interval.annotate(point, static_cast<double>(x.counter()),
-                        static_cast<double>(y.counter()));
+      interval.annotate(point, static_cast<double>(small.counter()),
+                        static_cast<double>(large.counter()));
   out.degraded = out.degraded || point.saturated;
   return out;
 }

@@ -102,8 +102,10 @@ int main(int argc, char** argv) {
                      std::vector<std::uint64_t>& offsets,
                      std::vector<std::uint64_t>& counts) {
         thread_local common::VisitedMask visited(0);
+        thread_local traffic::MultiRsuWorkload::BulkScratch scratch;
         if (visited.universe_size() != k) visited = common::VisitedMask(k);
-        workload.itineraries(begin, end, visited, positions, offsets, counts);
+        workload.itineraries(begin, end, visited, scratch, positions, offsets,
+                             counts);
       };
 
   // One full measurement period through the serial vehicle-at-a-time path.

@@ -48,6 +48,51 @@ struct AccuracyPrediction {
   double stddev_ratio = 0.0;       // Eq. 36: StdDev[n̂_c/n_c]
 };
 
+// The occupancy-exact model factored by what each term depends on
+// (docs/DERIVATIONS.md §8): one array's (n, m), one size pair's
+// (m_x, m_y, s), and the pair's n_c. predict(kOccupancyExact) and the
+// decode's interval math both evaluate through these, so a K×K decode
+// builds the first kind once per RSU and the second once per distinct
+// size pair, and keeps only the n_c-dependent work per pair.
+
+// Terms of one m-bit array after n insertions.
+struct ArrayTerms {
+  double n = 0.0;
+  double q = 0.0;         // (1 − 1/m)^n: P[a bit stays 0] (Eqs. 10, 11)
+  double binomial = 0.0;  // (1 − q)/(m q): Var[ln V] if bits were independent
+  double var_ln = 0.0;    // Var[ln V] with the one-array bit correlation
+};
+
+// The exponent n_c·alpha + n_x·beta + n_y·gamma of one correlation
+// correction J/(q_a q_b) − 1, the log of the joint zero-probability over
+// the two marginals (§3), split by vehicle class.
+struct CorrectionTerms {
+  double alpha = 0.0;
+  double beta = 0.0;
+  double gamma = 0.0;
+};
+
+// Terms of one size pair (m_x <= m_y) at logical array size s.
+struct SizePairTerms {
+  std::size_t m_x = 0;
+  std::size_t m_y = 0;
+  double L = 0.0;  // Eq. 5 denominator ln(1 − (s−1)/(s·m_y)) − ln(1 − 1/m_y)
+  // Whether the model's terms below are set: only for m_x >= 4. A pair
+  // with a smaller array still has its Eq. 5 estimate, and an idle one
+  // its empty interval, but no variance.
+  bool modelled = false;
+  // Count weights: same-residue (r − 1)/m_y and different-residue
+  // (m_y − r)/m_y bit pairs of B_c, off-position (m_x − 1)/m_x and
+  // same-position 1/m_x bit pairs of B_x.
+  double same_residue = 0.0;
+  double diff_residue = 0.0;
+  double x_off = 0.0;
+  double x_same = 0.0;
+  // The seven corrections whose exponent depends on n_c.
+  CorrectionTerms cc_same, cc_diff, cx_off, cy_same, cy_diff, xy_same,
+      xy_diff;
+};
+
 class AccuracyModel {
  public:
   // Validates the scenario (array sizes powers of two with m_x | m_y,
@@ -57,6 +102,20 @@ class AccuracyModel {
   static AccuracyPrediction predict(
       const PairScenario& scenario,
       VarianceModel model = VarianceModel::kOccupancyExact);
+
+  // kOccupancyExact from factored terms: `x` is the smaller array,
+  // `size` the pair's sizes with size.modelled set, and
+  // 0 < n_c <= min(x.n, y.n) (unchecked — the interval estimator checks
+  // and clamps before calling). Bit-identical to predict() on the same
+  // scenario, which evaluates through here.
+  static AccuracyPrediction predict(const ArrayTerms& x, const ArrayTerms& y,
+                                    const SizePairTerms& size, double n_c);
+  static ArrayTerms array_terms(double n, std::size_t m);
+  // Validates the sizes Eq. 5 needs (powers of two, m_x <= m_y,
+  // 2 <= s < m_y) and throws std::invalid_argument otherwise; sets the
+  // model's terms only for m_x >= 4 (see SizePairTerms::modelled).
+  static SizePairTerms size_pair_terms(std::size_t m_x, std::size_t m_y,
+                                       std::uint32_t s);
 
   // Individual pieces, exposed for tests and for the privacy model.
   static double q_point(double n, std::size_t m);  // (1 − 1/m)^n

@@ -3,10 +3,45 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/math_util.h"
 #include "common/require.h"
+#include "core/accuracy_model.h"
 
 namespace vlm::core {
+
+namespace {
+
+double floored_fraction(std::size_t zeros, std::size_t m, bool& saturated) {
+  if (zeros == 0) {
+    saturated = true;
+    return 0.5 / static_cast<double>(m);
+  }
+  return static_cast<double>(zeros) / static_cast<double>(m);
+}
+
+}  // namespace
+
+ZeroFraction zero_fraction(std::size_t zeros, std::size_t m) {
+  ZeroFraction out;
+  out.m = m;
+  out.zeros = zeros;
+  out.v = floored_fraction(zeros, m, out.saturated);
+  out.log_v = std::log(out.v);
+  return out;
+}
+
+PairEstimate eq5_estimate(const ZeroFraction& x, const ZeroFraction& y,
+                          std::size_t zeros_or, double L) {
+  PairEstimate out;
+  out.m_x = x.m;
+  out.m_y = y.m;
+  out.v_x = x.v;
+  out.v_y = y.v;
+  out.saturated = x.saturated || y.saturated;
+  out.v_c = floored_fraction(zeros_or, y.m, out.saturated);
+  out.raw = (std::log(out.v_c) - (x.log_v + y.log_v)) / L;
+  out.n_c_hat = std::max(0.0, out.raw);
+  return out;
+}
 
 PairEstimator::PairEstimator(std::uint32_t s) : s_(s) {
   VLM_REQUIRE(s >= 2, "estimator requires s >= 2");
@@ -16,10 +51,7 @@ double PairEstimator::log_ratio_denominator(std::size_t m_y) const {
   VLM_REQUIRE(m_y > 1, "larger array must have more than one bit");
   VLM_REQUIRE(static_cast<std::size_t>(s_) < m_y,
               "Eq. 5 requires s < m_y (otherwise the MLE degenerates)");
-  const double my = static_cast<double>(m_y);
-  const double s = static_cast<double>(s_);
-  return common::log_one_minus((s - 1.0) / (s * my)) -
-         common::log_one_minus(1.0 / my);
+  return AccuracyModel::log_ratio_denominator(s_, m_y);
 }
 
 PairEstimate PairEstimator::estimate(const RsuState& x,
@@ -27,36 +59,13 @@ PairEstimate PairEstimator::estimate(const RsuState& x,
   // The fused kernel orders the operands itself, never materializes the
   // unfolded array, and returns the three zero counts Eq. 5 needs in a
   // single pass over the larger array.
-  return from_counts(common::joint_zero_counts(x.bits(), y.bits()));
-}
-
-PairEstimate PairEstimator::from_counts(
-    const common::JointZeroCounts& counts) const {
-  const std::size_t m_x = counts.size_small;
-  const std::size_t m_y = counts.size_large;
-
-  PairEstimate out;
-  out.m_x = m_x;
-  out.m_y = m_y;
+  const common::JointZeroCounts counts =
+      common::joint_zero_counts(x.bits(), y.bits());
+  PairEstimate out = eq5_estimate(
+      zero_fraction(counts.zeros_small, counts.size_small),
+      zero_fraction(counts.zeros_large, counts.size_large), counts.zeros_or,
+      log_ratio_denominator(counts.size_large));
   out.words_scanned = counts.words_scanned;
-
-  // Floor zero counts at half a bit so a fully saturated array yields a
-  // finite (if unreliable) estimate instead of -inf logs; flag it.
-  auto fraction = [&](std::size_t zeros, std::size_t size, bool& saturated) {
-    if (zeros == 0) {
-      saturated = true;
-      return 0.5 / static_cast<double>(size);
-    }
-    return static_cast<double>(zeros) / static_cast<double>(size);
-  };
-  out.v_x = fraction(counts.zeros_small, m_x, out.saturated);
-  out.v_y = fraction(counts.zeros_large, m_y, out.saturated);
-  out.v_c = fraction(counts.zeros_or, m_y, out.saturated);
-
-  const double numerator =
-      std::log(out.v_c) - std::log(out.v_x) - std::log(out.v_y);
-  out.raw = numerator / log_ratio_denominator(m_y);
-  out.n_c_hat = std::max(0.0, out.raw);
   return out;
 }
 

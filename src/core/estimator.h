@@ -34,6 +34,29 @@ struct PairEstimate {
   bool saturated = false;
 };
 
+// One array's share of Eq. 5, which depends on that array alone.
+struct ZeroFraction {
+  std::size_t m = 0;       // array size
+  std::size_t zeros = 0;   // zero bits
+  double v = 0.0;          // zeros / m, floored at half a bit
+  double log_v = 0.0;      // ln v
+  bool saturated = false;  // no zero bit: v is the floor
+};
+
+// The floor keeps a saturated array (zeros == 0) finite and flagged
+// instead of ln 0 = −inf.
+ZeroFraction zero_fraction(std::size_t zeros, std::size_t m);
+
+// Eq. 5 on the smaller array x (either one at equal sizes), the larger
+// y, the zero bits of unfold(B_x) | B_y and the denominator L for m_y
+// (log_ratio_denominator). Its numerator ln V_c − (ln V_x + ln V_y) is
+// the same double whichever array is x. The one evaluation of Eq. 5:
+// PairEstimator::estimate and the interval estimator (and through it the
+// all-pairs decode) both call it, so their estimates agree bit for bit.
+// words_scanned is left 0.
+PairEstimate eq5_estimate(const ZeroFraction& x, const ZeroFraction& y,
+                          std::size_t zeros_or, double L);
+
 class PairEstimator {
  public:
   // `s` is the logical-bit-array size used by the encoder (>= 2).
@@ -48,13 +71,6 @@ class PairEstimator {
   // unfolded onto the larger via the fused zero-count kernel — no copy
   // of either array is materialized.
   PairEstimate estimate(const RsuState& x, const RsuState& y) const;
-
-  // Eq. 5 on already-measured zero counts. `estimate` above is exactly
-  // joint_zero_counts + this; the cache-blocked batch decode measures the
-  // counts for every pair first and then maps them through here, which is
-  // what makes it bit-identical to `estimate` — the floating-point math is
-  // this one function either way.
-  PairEstimate from_counts(const common::JointZeroCounts& counts) const;
 
   // The denominator constant of Eq. 5 for a given larger-array size.
   // Positive for every s >= 2, m_y > 1.

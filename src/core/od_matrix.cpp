@@ -126,6 +126,65 @@ bool prune_pair(const RsuState& first, const RsuState& second,
   return n_c_ub <= prune.min_volume;
 }
 
+// The factored interval terms of one decode (docs/DERIVATIONS.md §8):
+// RsuTerms once per RSU and SizePairTerms once per distinct (m_x, m_y),
+// so each pair keeps only its n_c-dependent work. A size pair's terms are
+// built only when two RSUs have those sizes, so the sizing checks throw
+// only for a size pair the fleet has.
+class PairTerms {
+ public:
+  PairTerms(std::span<const RsuState> states,
+            const IntervalEstimator& estimator) {
+    rsus_.reserve(states.size());
+    for (const RsuState& state : states) {
+      rsus_.push_back(IntervalEstimator::rsu_terms(state));
+    }
+    std::vector<std::size_t> all;
+    all.reserve(rsus_.size());
+    for (const RsuTerms& t : rsus_) all.push_back(t.bits.m);
+    std::sort(all.begin(), all.end());
+    std::vector<std::size_t> sizes = all;  // distinct, ascending
+    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+    size_index_.reserve(rsus_.size());
+    for (const RsuTerms& t : rsus_) {
+      size_index_.push_back(static_cast<std::uint32_t>(
+          std::lower_bound(sizes.begin(), sizes.end(), t.bits.m) -
+          sizes.begin()));
+    }
+    distinct_ = sizes.size();
+    sizes_.resize(distinct_ * distinct_);
+    for (std::size_t i = 0; i < distinct_; ++i) {
+      for (std::size_t j = i; j < distinct_; ++j) {
+        // A size held by one RSU never pairs with itself.
+        if (i == j && std::count(all.begin(), all.end(), sizes[i]) < 2) {
+          continue;
+        }
+        sizes_[i * distinct_ + j] =
+            estimator.size_pair_terms(sizes[i], sizes[j]);
+      }
+    }
+  }
+
+  // IntervalEstimator::estimate of RSUs a and b, given their OR's zeros.
+  EstimateInterval estimate(const IntervalEstimator& estimator,
+                            std::uint32_t a, std::uint32_t b,
+                            std::size_t zeros_or, PairEstimate* point) const {
+    const bool a_is_x = IntervalEstimator::takes_x_role(rsus_[a], rsus_[b]);
+    const std::uint32_t x = a_is_x ? a : b;
+    const std::uint32_t y = a_is_x ? b : a;
+    return estimator.from_terms(
+        rsus_[x], rsus_[y],
+        sizes_[size_index_[x] * distinct_ + size_index_[y]], zeros_or,
+        point);
+  }
+
+ private:
+  std::vector<RsuTerms> rsus_;
+  std::vector<std::uint32_t> size_index_;  // RSU -> index of its size
+  std::size_t distinct_ = 0;
+  std::vector<SizePairTerms> sizes_;  // [i * distinct_ + j], i <= j
+};
+
 }  // namespace
 
 OdMatrix::OdMatrix(std::size_t rsu_count)
@@ -297,10 +356,11 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   std::vector<std::uint8_t> pair_saturated(pairs.size(), 0);
   // Measure the pair list's zero counts with the batch sweep (tiled for
   // r <= 2, fold-plane for r >= 4), then map them through the Eq. 5 /
-  // interval math of IntervalEstimator::estimate. Both stages are deterministic, so so is
-  // the composition — and because the batch sweep's integer partials are
-  // exact for any pair subset, a survivor's counts (and therefore its
-  // estimate) are bit-identical to the unpruned decode.
+  // interval math of IntervalEstimator::estimate. Both stages are
+  // deterministic, so so is the composition — and because the batch
+  // sweep's integer partials are exact for any pair subset, a survivor's
+  // counts (and therefore its estimate) are bit-identical to the
+  // unpruned decode.
   std::vector<const common::BitArray*> arrays;
   arrays.reserve(k);
   for (const RsuState& state : states) arrays.push_back(&state.bits());
@@ -317,13 +377,13 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
     sweep_seconds = sweep_span.finish();
   }
   obs::Span estimate_span(metrics.estimate);
+  const PairTerms pair_terms(states, estimator);
   common::parallel_for(pairs.size(), used, [&](std::size_t p) {
     const auto [a, b] = pairs[p];
     PairEstimate point;
-    matrix.cell(a, b) = estimator.from_counts(
-        counts[p], static_cast<double>(states[a].counter()),
-        static_cast<double>(states[b].counter()), &point);
-    words_per_pair[p] = point.words_scanned;
+    matrix.cell(a, b) =
+        pair_terms.estimate(estimator, a, b, counts[p].zeros_or, &point);
+    words_per_pair[p] = counts[p].words_scanned;
     pair_saturated[p] = point.saturated ? 1 : 0;
   });
   const double estimate_seconds = estimate_span.finish();

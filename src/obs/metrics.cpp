@@ -45,8 +45,18 @@ std::uint64_t Counter::value() const {
   return total;
 }
 
-unsigned Histogram::bucket_of(std::uint64_t value) {
-  return static_cast<unsigned>(std::bit_width(value));
+void Histogram::publish(const HistogramBatch& batch) {
+  if (batch.count_ == 0) return;
+  Slab& slab = slabs_[this_thread_slot()];
+  slab.count.value.fetch_add(batch.count_, std::memory_order_relaxed);
+  slab.total.value.fetch_add(batch.total_, std::memory_order_relaxed);
+  detail::atomic_store_min(slab.min.value, batch.min_);
+  detail::atomic_store_max(slab.max.value, batch.max_);
+  for (unsigned b = 0; b < kHistogramBuckets; ++b) {
+    if (batch.buckets_[b] != 0) {
+      slab.buckets[b].fetch_add(batch.buckets_[b], std::memory_order_relaxed);
+    }
+  }
 }
 
 double Histogram::bucket_lower(unsigned bucket) {
@@ -96,6 +106,14 @@ double scaled(Unit unit, double raw) {
 }
 
 }  // namespace
+
+std::uint64_t Histogram::bucket_count(unsigned bucket) const {
+  std::uint64_t total = 0;
+  for (const Slab& slab : slabs_) {
+    total += slab.buckets[bucket].load(std::memory_order_relaxed);
+  }
+  return total;
+}
 
 HistogramSummary Histogram::summary() const {
   std::uint64_t count = 0;

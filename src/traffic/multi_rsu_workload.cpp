@@ -28,17 +28,6 @@ constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
 constexpr std::size_t draw_slots_for(std::uint64_t span_count) {
   return static_cast<std::size_t>(span_count + 2 + span_count / 2);
 }
-
-// Per-thread scratch for the bulk generator, reused across slices so
-// steady-state ingest does not reallocate. UninitVector: every slot is
-// written by a kernel or the fill loop before it is read.
-struct BulkScratch {
-  common::UninitVector<std::uint64_t> inputs;  // encode_batch key blocks
-  common::UninitVector<std::uint64_t> bases;   // mix64(seed ^ v)
-  common::UninitVector<std::uint64_t> draws;      // span-count draws
-  common::UninitVector<std::uint32_t> run_slots;  // draw slots per vehicle
-  common::UninitVector<std::uint32_t> ranks;      // zipf_rank_runs output
-};
 }  // namespace
 
 MultiRsuWorkload::MultiRsuWorkload(const MultiRsuConfig& config)
@@ -163,6 +152,7 @@ void MultiRsuWorkload::itinerary(std::uint64_t vehicle_index,
 
 void MultiRsuWorkload::itineraries(std::uint64_t begin, std::uint64_t end,
                                    common::VisitedMask& visited,
+                                   BulkScratch& scratch,
                                    common::UninitVector<std::uint32_t>& positions,
                                    std::vector<std::uint64_t>& offsets,
                                    std::vector<std::uint64_t>& counts) const {
@@ -188,7 +178,6 @@ void MultiRsuWorkload::itineraries(std::uint64_t begin, std::uint64_t end,
                 "encode_batch writes size_t lanes reused as uint64_t");
   const common::kernels::KernelTable& kt = common::kernels::active();
   static constexpr std::uint64_t kZeroSalt[1] = {0};
-  thread_local BulkScratch scratch;
 
   // Stream bases: mix64(seed ^ v) for the whole block, through the
   // batch-encode kernel (salt 0, full fold mask reduce it to a plain
@@ -390,6 +379,7 @@ void MultiRsuWorkload::for_each_vehicle(
   struct alignas(64) Slot {
     explicit Slot(std::size_t rsu_count) : visited(rsu_count) {}
     common::VisitedMask visited;
+    BulkScratch scratch;
     common::UninitVector<std::uint32_t> positions;
     std::vector<std::uint64_t> offsets;
     std::vector<std::uint64_t> counts;
@@ -428,8 +418,8 @@ void MultiRsuWorkload::for_each_vehicle(
       Slot& slot = slots[s];
       const std::uint64_t begin = (first + s) * kTruthBlockVehicles;
       const std::uint64_t end = std::min(n, begin + kTruthBlockVehicles);
-      itineraries(begin, end, slot.visited, slot.positions, slot.offsets,
-                  slot.counts);
+      itineraries(begin, end, slot.visited, slot.scratch, slot.positions,
+                  slot.offsets, slot.counts);
       // Itineraries are sorted, so every (it, jt) below is (lo, hi).
       const std::uint32_t* positions = slot.positions.data();
       std::uint32_t* shard = shards.data() + s * stride;

@@ -45,6 +45,16 @@ class MultiRsuWorkload {
   void itinerary(std::uint64_t vehicle_index, common::VisitedMask& visited,
                  std::vector<std::uint32_t>& out) const;
 
+  // Working buffers of the bulk generator. UninitVector: every slot is
+  // written by a kernel or the fill loop before it is read.
+  struct BulkScratch {
+    common::UninitVector<std::uint64_t> inputs;  // encode_batch key blocks
+    common::UninitVector<std::uint64_t> bases;   // mix64(seed ^ v)
+    common::UninitVector<std::uint64_t> draws;      // span-count draws
+    common::UninitVector<std::uint32_t> run_slots;  // draw slots per vehicle
+    common::UninitVector<std::uint32_t> ranks;      // zipf_rank_runs output
+  };
+
   // Bulk form: the itineraries of every vehicle in [begin, end), CSR
   // layout — vehicle (begin + i)'s visits are positions[offsets[i]] ..
   // positions[offsets[i + 1]]. Exactly the per-vehicle itineraries
@@ -65,6 +75,10 @@ class MultiRsuWorkload {
   // output is bit-identical to the per-vehicle path — the frozen-seed
   // goldens pin it.
   //
+  // `visited` and `scratch` are the caller's generator scratch (keep one
+  // of each per thread and reuse them across blocks, so steady-state
+  // calls do not reallocate); they live as long as the caller keeps them.
+  //
   // `positions` is an UninitVector: it is sized once per call (no
   // value-init memset over the block) and every slot in range is written
   // by the emission loop before anything reads it.
@@ -74,7 +88,7 @@ class MultiRsuWorkload {
   // the positions are accepted — the batch ingest sizes its SoA buckets
   // from it without a second pass over the CSR.
   void itineraries(std::uint64_t begin, std::uint64_t end,
-                   common::VisitedMask& visited,
+                   common::VisitedMask& visited, BulkScratch& scratch,
                    common::UninitVector<std::uint32_t>& positions,
                    std::vector<std::uint64_t>& offsets,
                    std::vector<std::uint64_t>& counts) const;
@@ -97,7 +111,8 @@ class MultiRsuWorkload {
                                std::span<const std::uint32_t> rsus)>& visit);
 
   // Vehicles per bulk block of the ground-truth pass. Small enough that
-  // the per-thread generator scratch stays a few hundred KiB.
+  // each task's generator scratch stays a few hundred KiB; the pass owns
+  // the scratch and frees it when it returns.
   static constexpr std::uint64_t kTruthBlockVehicles = 4096;
 
   // Ground truth of the last complete for_each_vehicle pass. node_volumes()

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -109,6 +110,110 @@ TEST(AccuracyModel, Guards) {
   EXPECT_THROW((void)AccuracyModel::predict(
                    scenario(100, 100, 50, 1 << 10, 1 << 10, 1)),
                std::invalid_argument);
+}
+
+// The unfactored occupancy-exact algebra — every correlation exponent
+// taken as ln J − ln q_a − ln q_b over whole per-class events, as §3 of
+// docs/DERIVATIONS.md states it — in long double, as a reference for the
+// factored terms the model evaluates.
+struct ReferenceFactors {
+  long double common, x_only, y_only;
+};
+
+long double reference_stddev_ratio(const PairScenario& sc) {
+  using LD = long double;
+  const LD n_c = sc.n_c, n_x = sc.n_x, n_y = sc.n_y;
+  const LD A = 1.0L / static_cast<LD>(sc.m_x);
+  const LD B = 1.0L / static_cast<LD>(sc.m_y);
+  const LD w = 1.0L - 1.0L / static_cast<LD>(sc.s);
+  const LD mx = static_cast<LD>(sc.m_x);
+  const LD my = static_cast<LD>(sc.m_y);
+  const LD r = my / mx;
+  const LD lx1 = std::log1p(-A), lx2 = std::log1p(-2.0L * A);
+  const LD ly1 = std::log1p(-B), ly2 = std::log1p(-2.0L * B);
+  const LD lc1 = lx1 + std::log1p(-w * B);
+  const LD lprot2 = std::log1p(-2.0L * w * B);
+  const ReferenceFactors mx_{lx1, lx1, 0.0L}, my_{ly1, 0.0L, ly1},
+      mc{lc1, lx1, ly1};
+  const LD kappa = B / (1.0L - A);
+  const ReferenceFactors j_xx{lx2, lx2, 0.0L}, j_yy{ly2, 0.0L, ly2},
+      j_cc_same{lx1 + lprot2, lx1, ly2}, j_cc_diff{lx2 + lprot2, lx2, ly2},
+      j_cx_off{lx2 + std::log1p(-w * B), lx2, ly1},
+      j_cy_diff{lx1 + std::log1p(-((1.0L - w) * kappa + 2.0L * w * B)), lx1,
+                ly2},
+      j_xy_same{std::log1p(-(A + w * B * (1.0L - A))), lx1, ly1},
+      j_xy_diff{std::log1p(-(A + B * (1.0L - w * A))), lx1, ly1};
+  auto event = [&](const ReferenceFactors& f) {
+    return n_c * f.common + (n_x - n_c) * f.x_only + (n_y - n_c) * f.y_only;
+  };
+  auto corr = [&](const ReferenceFactors& j, const ReferenceFactors& a,
+                  const ReferenceFactors& b) {
+    return std::expm1(event(j) - event(a) - event(b));
+  };
+  const LD L = std::log1p(-w * B) - std::log1p(-B);
+  const LD q_x = std::exp(n_x * lx1), q_y = std::exp(n_y * ly1);
+  const LD q_c = q_x * q_y * std::exp(n_c * L);
+  const LD var_x = (1 - q_x) / (mx * q_x) + ((mx - 1) / mx) * corr(j_xx, mx_, mx_);
+  const LD var_y = (1 - q_y) / (my * q_y) + ((my - 1) / my) * corr(j_yy, my_, my_);
+  const LD var_c = (1 - q_c) / (my * q_c) +
+                   ((r - 1) / my) * corr(j_cc_same, mc, mc) +
+                   ((my - r) / my) * corr(j_cc_diff, mc, mc);
+  const LD cov_cx =
+      (1 - q_x) / (mx * q_x) + ((mx - 1) / mx) * corr(j_cx_off, mc, mx_);
+  const LD cov_cy = (1 - q_y) / (my * q_y) +
+                    ((r - 1) / my) * corr(j_cc_same, mc, my_) +
+                    ((my - r) / my) * corr(j_cy_diff, mc, my_);
+  const LD cov_xy = (1 / mx) * corr(j_xy_same, mx_, my_) +
+                    ((mx - 1) / mx) * corr(j_xy_diff, mx_, my_);
+  const LD var_n =
+      var_c + var_x + var_y - 2 * cov_cx - 2 * cov_cy + 2 * cov_xy;
+  return std::sqrt(std::max(0.0L, var_n) / (L * L)) / n_c;
+}
+
+// predict(kOccupancyExact) is the factored terms, bit for bit — the
+// interval estimator and the decode evaluate through the same functions —
+// and the factoring preserves the model: it matches the unfactored
+// algebra across a grid of loads, ratios up to 1024 and overlaps. The
+// tolerance is the double-precision model's own: its light-load corners
+// cancel most of the variance and keep a few parts per million.
+TEST(AccuracyModel, PredictMatchesFactoredTermsBitwise) {
+  int checked = 0;
+  for (const std::size_t m_x : {std::size_t{1} << 10, std::size_t{1} << 16}) {
+    for (const std::size_t r : {1u, 2u, 4u, 64u, 1024u}) {
+      const std::size_t m_y = m_x * r;
+      for (const double load_x : {0.05, 1.0 / 8.0, 0.5}) {
+        for (const double load_y : {0.05, 1.0 / 8.0, 2.0}) {
+          const double n_x = load_x * static_cast<double>(m_x);
+          const double n_y = load_y * static_cast<double>(m_y);
+          for (const double share : {0.001, 0.1, 1.0}) {
+            const double n_c = std::max(1.0, share * std::min(n_x, n_y));
+            for (const std::uint32_t s : {2u, 5u}) {
+              const PairScenario sc = scenario(n_x, n_y, n_c, m_x, m_y, s);
+              const AccuracyPrediction whole = AccuracyModel::predict(sc);
+              const AccuracyPrediction factored = AccuracyModel::predict(
+                  AccuracyModel::array_terms(n_x, m_x),
+                  AccuracyModel::array_terms(n_y, m_y),
+                  AccuracyModel::size_pair_terms(m_x, m_y, s), n_c);
+              EXPECT_EQ(whole.q_nx, factored.q_nx);
+              EXPECT_EQ(whole.q_ny, factored.q_ny);
+              EXPECT_EQ(whole.q_nc, factored.q_nc);
+              EXPECT_EQ(whole.expected_estimate, factored.expected_estimate);
+              EXPECT_EQ(whole.bias_ratio, factored.bias_ratio);
+              EXPECT_EQ(whole.variance, factored.variance);
+              EXPECT_EQ(whole.stddev_ratio, factored.stddev_ratio);
+              const double want =
+                  static_cast<double>(reference_stddev_ratio(sc));
+              EXPECT_NEAR(factored.stddev_ratio, want, 1e-5 * want)
+                  << "m_x=" << m_x << " r=" << r << " n_x=" << n_x
+                  << " n_y=" << n_y << " n_c=" << n_c << " s=" << s;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * 5 * 3 * 3 * 3 * 2);
 }
 
 // --- Monte-Carlo agreement: the paper's Section V formulas vs the real

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bit_array.h"
+#include "core/accuracy_model.h"
 #include "core/encoder.h"
 #include "core/pair_simulation.h"
 #include "core/scheme.h"
@@ -331,6 +332,96 @@ TEST(OdMatrix, SkewedSizesExactForAutoAndPrunedAtEveryWorkerCount) {
       EXPECT_GT(measured, 0u);
       if (mode == DecodeMode::kAuto) {
         EXPECT_EQ(measured, states.size() * (states.size() - 1) / 2);
+      }
+    }
+  }
+}
+
+// Zipf order: the largest array (and volume) at index 0, sizes halving
+// with the index down to r = 64, so the lower index of nearly every pair
+// holds the larger array. Every cell must be the per-pair oracle in both
+// argument orders, and its spread the model's with n_x bound to the
+// smaller array's RSU, not to the lower index.
+TEST(OdMatrix, ZipfOrderedFleetMatchesOracleWithSmallerArrayAsX) {
+  Encoder enc(EncoderConfig{});
+  constexpr std::size_t kRsus = 8;
+  std::vector<RsuState> states;
+  for (std::size_t r = 0; r < kRsus; ++r) {
+    states.emplace_back(std::size_t{1} << (20 - std::min<std::size_t>(r, 6)));
+  }
+  // RSU r sees each vehicle with probability 2^-r: volume tracks size.
+  for (std::uint64_t i = 0; i < (std::uint64_t{1} << 17); ++i) {
+    VehicleIdentity v;
+    v.id = VehicleId{common::mix64((i + 3) * 0x9E3779B97F4A7C15ull)};
+    v.private_key = common::mix64((i + 3) * 0xC2B2AE3D27D4EB4Full);
+    for (std::size_t r = 0; r < kRsus; ++r) {
+      const std::uint64_t mask = (std::uint64_t{1} << std::min<std::size_t>(r, 6)) - 1;
+      if ((common::mix64(i ^ (r << 40)) & mask) == 0) {
+        states[r].record(
+            enc.bit_index(v, RsuId{r + 1}, states[r].array_size()));
+      }
+    }
+  }
+
+  const IntervalEstimator oracle(2, 1.96);
+  for (const unsigned workers : {1u, 4u}) {
+    const OdMatrix matrix = estimate_od_matrix(states, 2, 1.96, workers);
+    std::size_t role_checked = 0;
+    for (std::size_t a = 0; a < kRsus; ++a) {
+      for (std::size_t b = a + 1; b < kRsus; ++b) {
+        const EstimateInterval& got = matrix.at(a, b);
+        for (const EstimateInterval& want :
+             {oracle.estimate(states[a], states[b]),
+              oracle.estimate(states[b], states[a])}) {
+          EXPECT_EQ(got.n_c_hat, want.n_c_hat)
+              << "workers=" << workers << " pair (" << a << "," << b << ")";
+          EXPECT_EQ(got.stddev, want.stddev);
+          EXPECT_EQ(got.lower, want.lower);
+          EXPECT_EQ(got.upper, want.upper);
+          EXPECT_EQ(got.floor_stddev, want.floor_stddev);
+          EXPECT_EQ(got.degraded, want.degraded);
+        }
+        const RsuState& small = states[b];  // sizes never grow with index
+        const RsuState& large = states[a];
+        if (got.degraded || small.array_size() == large.array_size()) continue;
+        const AccuracyPrediction model = AccuracyModel::predict(PairScenario{
+            static_cast<double>(small.counter()),
+            static_cast<double>(large.counter()), got.n_c_hat,
+            small.array_size(), large.array_size(), 2});
+        EXPECT_EQ(got.stddev, model.stddev_ratio * got.n_c_hat)
+            << "pair (" << a << "," << b << ")";
+        ++role_checked;
+      }
+    }
+    EXPECT_GE(role_checked, 15u);
+  }
+}
+
+// An idle 2-bit RSU (too small for the variance model) among active
+// 1024-bit ones: its cells are the oracle's empty intervals and the rest
+// of the matrix decodes as usual, at every worker count.
+TEST(OdMatrix, IdleTwoBitRsuAmongActiveRsusDecodes) {
+  Encoder enc(EncoderConfig{});
+  std::vector<RsuState> states = deterministic_fleet(3, 2'000, enc, 1 << 10);
+  states.insert(states.begin() + 1, RsuState(2));
+  const IntervalEstimator oracle(2, 1.96);
+  for (const unsigned workers : {1u, 4u}) {
+    const OdMatrix matrix = estimate_od_matrix(states, 2, 1.96, workers);
+    for (std::size_t a = 0; a < states.size(); ++a) {
+      for (std::size_t b = a + 1; b < states.size(); ++b) {
+        const EstimateInterval want = oracle.estimate(states[a], states[b]);
+        const EstimateInterval& got = matrix.at(a, b);
+        EXPECT_EQ(got.n_c_hat, want.n_c_hat) << "pair (" << a << "," << b << ")";
+        EXPECT_EQ(got.stddev, want.stddev);
+        EXPECT_EQ(got.lower, want.lower);
+        EXPECT_EQ(got.upper, want.upper);
+        EXPECT_EQ(got.degraded, want.degraded);
+        if (a == 1 || b == 1) {
+          EXPECT_EQ(got.upper, 0.0);
+          EXPECT_TRUE(got.degraded);
+        } else {
+          EXPECT_GT(got.stddev, 0.0);
+        }
       }
     }
   }

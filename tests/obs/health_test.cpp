@@ -260,6 +260,67 @@ TEST(HealthTest, RealizedAccuracyScoresEveryPairAgainstTruth) {
   EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
 }
 
+// The pair pass gathers its predicted errors off the registry and
+// publishes them once; the histogram must read exactly as if every pair
+// had been observed on its own. Compared as deltas, so observations of
+// other tests in the same process do not matter.
+TEST(HealthTest, BatchPublishedRelErrMatchesPerPairObserve) {
+  std::uint64_t h = 0xBA7C;
+  std::vector<std::size_t> shared;
+  for (int i = 0; i < 2'000; ++i) {
+    shared.push_back(static_cast<std::size_t>(common::mix64(++h)));
+  }
+  std::vector<core::RsuState> states;
+  for (std::size_t r = 0; r < 12; ++r) {
+    const std::size_t m = std::size_t{1} << (10 + r % 4);
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < shared.size(); i += r + 1) {
+      indices.push_back(shared[i] % m);
+    }
+    states.push_back(make_state(m, 100 + 40 * r, indices, h));
+  }
+  const core::OdMatrix matrix =
+      core::estimate_od_matrix(states, 2, 1.96, {}, nullptr);
+
+  MetricsRegistry local;
+  Histogram& oracle = local.histogram("oracle", Unit::kMicro);
+  for (std::size_t a = 0; a < states.size(); ++a) {
+    for (std::size_t b = a + 1; b < states.size(); ++b) {
+      const core::EstimateInterval& cell = matrix.at(a, b);
+      if (cell.degraded || cell.n_c_hat <= 0.0) continue;
+      oracle.observe(static_cast<std::uint64_t>(
+          std::llround(cell.stddev / cell.n_c_hat * 1e6)));
+    }
+  }
+  const HistogramSummary want = oracle.summary();
+  ASSERT_GE(want.count, 20u);
+
+  Histogram& published = MetricsRegistry::global().histogram(
+      "health/predicted_rel_err", Unit::kMicro);
+  const HistogramSummary before = published.summary();
+  std::vector<std::uint64_t> buckets_before(kHistogramBuckets);
+  for (unsigned bucket = 0; bucket < kHistogramBuckets; ++bucket) {
+    buckets_before[bucket] = published.bucket_count(bucket);
+  }
+  HealthSummary summary;
+  assess_pairs(states, matrix, HealthOptions{}, summary);
+  const HistogramSummary after = published.summary();
+
+  EXPECT_EQ(summary.pairs_assessed, want.count);
+  EXPECT_EQ(after.count - before.count, want.count);
+  for (unsigned bucket = 0; bucket < kHistogramBuckets; ++bucket) {
+    EXPECT_EQ(published.bucket_count(bucket) - buckets_before[bucket],
+              oracle.bucket_count(bucket))
+        << "bucket " << bucket;
+  }
+  // Totals are exported in units; the raw micro sums are integers.
+  EXPECT_EQ(std::llround(after.total * 1e6),
+            std::llround(before.total * 1e6) + std::llround(want.total * 1e6));
+  EXPECT_EQ(after.min, before.count > 0 ? std::min(before.min, want.min)
+                                        : want.min);
+  EXPECT_EQ(after.max, std::max(before.max, want.max));
+}
+
 TEST(HealthTest, SaturatedPairCountsAsDegraded) {
   // Both endpoints over-saturated: the estimator marks the cell degraded
   // and the health pass must not assess it.

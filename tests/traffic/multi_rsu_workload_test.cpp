@@ -124,14 +124,15 @@ TEST(MultiRsuWorkload, BulkItinerariesMatchPerVehicleAndFuseCounts) {
   for (const MultiRsuConfig& config : {small_config(), wide}) {
     MultiRsuWorkload workload(config);
     common::VisitedMask visited(config.rsu_count);
+    MultiRsuWorkload::BulkScratch scratch;
     common::UninitVector<std::uint32_t> positions;
     std::vector<std::uint64_t> offsets;
     std::vector<std::uint64_t> counts;
     const struct { std::uint64_t begin, end; } ranges[] = {
         {0, 0}, {0, 1}, {0, 257}, {123, 1987}, {19'000, 20'000}};
     for (const auto& range : ranges) {
-      workload.itineraries(range.begin, range.end, visited, positions, offsets,
-                           counts);
+      workload.itineraries(range.begin, range.end, visited, scratch, positions,
+                           offsets, counts);
       ASSERT_EQ(offsets.size(), range.end - range.begin + 1);
       ASSERT_EQ(counts.size(), config.rsu_count);
       std::vector<std::uint64_t> want_counts(config.rsu_count, 0);

@@ -81,10 +81,12 @@ BulkItineraryProvider bulk_provider_for(
                      std::vector<std::uint64_t>& offsets,
                      std::vector<std::uint64_t>& counts) {
     thread_local common::VisitedMask visited(0);
+    thread_local traffic::MultiRsuWorkload::BulkScratch scratch;
     if (visited.universe_size() != kRsus) {
       visited = common::VisitedMask(kRsus);
     }
-    workload.itineraries(begin, end, visited, positions, offsets, counts);
+    workload.itineraries(begin, end, visited, scratch, positions, offsets,
+                         counts);
   };
 }
 
